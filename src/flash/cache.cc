@@ -11,30 +11,32 @@ sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
   e.epoch = epoch;
   e.order = next_order_++;
   e.barrier = barrier;
-  pending_.push_back(e);
-  undrained_.insert(e.order);
+  window_.push_back(InFlight{e});
+  ++dirty_count_;
   newest_dirty_[lba] = {e.order, version};
-  order_to_lba_[e.order] = lba;
   history_.push_back(e);
   drain_ready_.notify_all();
 }
 
 sim::Task WritebackCache::claim_next(Entry& out) {
-  while (pending_.empty()) co_await drain_ready_.wait();
-  out = pending_.front();
-  pending_.pop_front();
+  while (next_claim_ == next_order_) co_await drain_ready_.wait();
+  out = window_[next_claim_++ - window_base_].entry;
 }
 
 void WritebackCache::mark_drained(std::uint64_t order) {
-  auto it = undrained_.find(order);
-  BIO_CHECK_MSG(it != undrained_.end(), "mark_drained on unknown order");
-  undrained_.erase(it);
-  auto lba_it = order_to_lba_.find(order);
-  BIO_CHECK(lba_it != order_to_lba_.end());
-  auto newest = newest_dirty_.find(lba_it->second);
+  BIO_CHECK_MSG(order >= window_base_ && order < next_claim_ &&
+                    !window_[order - window_base_].drained,
+                "mark_drained on an unknown, unclaimed or drained order");
+  InFlight& slot = window_[order - window_base_];
+  slot.drained = true;
+  --dirty_count_;
+  auto newest = newest_dirty_.find(slot.entry.lba);
   if (newest != newest_dirty_.end() && newest->second.first == order)
     newest_dirty_.erase(newest);
-  order_to_lba_.erase(lba_it);
+  while (!window_.empty() && window_.front().drained) {
+    window_.pop_front();
+    ++window_base_;
+  }
   space_.release();
   drained_.notify_all();
 }
@@ -51,10 +53,9 @@ std::optional<Version> WritebackCache::lookup(Lba lba) const {
 
 std::vector<WritebackCache::Entry> WritebackCache::undrained_entries() const {
   std::vector<Entry> out;
-  out.reserve(undrained_.size());
-  // history_ is in arrival order; filter to the undrained set.
-  for (const Entry& e : history_)
-    if (undrained_.contains(e.order)) out.push_back(e);
+  out.reserve(dirty_count_);
+  for (const InFlight& f : window_)
+    if (!f.drained) out.push_back(f.entry);
   return out;
 }
 

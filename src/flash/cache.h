@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +53,8 @@ class WritebackCache {
   /// simulator tears the drain thread down instead).
   sim::Task claim_next(Entry& out);
 
-  /// Marks `order` programmed to flash and releases its cache slot.
+  /// Marks `order` programmed to flash and releases its cache slot. The
+  /// order must have been claimed and not drained yet.
   void mark_drained(std::uint64_t order);
 
   /// Highest order id assigned so far +1 (0 if no entries yet).
@@ -62,7 +62,7 @@ class WritebackCache {
 
   /// True when every entry with order < `through` has been drained.
   bool drained_through(std::uint64_t through) const noexcept {
-    return undrained_.empty() || *undrained_.begin() >= through;
+    return window_.empty() || window_base_ >= through;
   }
 
   /// Blocks until drained_through(through) holds.
@@ -72,7 +72,8 @@ class WritebackCache {
   std::optional<Version> lookup(Lba lba) const;
 
   /// Entries transferred but not yet drained, in arrival order (crash
-  /// analysis for PLP devices; snapshot copy).
+  /// analysis for PLP devices; snapshot copy). Walks the in-flight window
+  /// only, so the cost is bounded by the cache capacity.
   std::vector<Entry> undrained_entries() const;
 
   /// Full arrival history (order, epoch, barrier) for invariant checks.
@@ -80,7 +81,7 @@ class WritebackCache {
     return history_;
   }
 
-  std::size_t dirty_count() const noexcept { return undrained_.size(); }
+  std::size_t dirty_count() const noexcept { return dirty_count_; }
   std::size_t capacity() const noexcept { return capacity_; }
 
   sim::Notify& drain_ready() noexcept { return drain_ready_; }
@@ -92,11 +93,23 @@ class WritebackCache {
   sim::Notify drain_ready_;
   sim::Notify drained_;
 
+  /// One in-flight order in the window; drained ones linger until every
+  /// older order has drained too.
+  struct InFlight {
+    Entry entry;
+    bool drained = false;
+  };
+
   std::uint64_t next_order_ = 0;
-  std::deque<Entry> pending_;               // inserted, not yet claimed
-  std::set<std::uint64_t> undrained_;       // claimed or pending, not drained
+  /// Orders [window_base_, next_order_), indexed by order - window_base_.
+  /// The front is always undrained: it is popped as soon as it drains.
+  /// Orders from next_claim_ on are not claimed yet; only claimed orders
+  /// drain, so window_base_ <= next_claim_.
+  std::deque<InFlight> window_;
+  std::uint64_t window_base_ = 0;
+  std::uint64_t next_claim_ = 0;
+  std::size_t dirty_count_ = 0;
   std::unordered_map<Lba, std::pair<std::uint64_t, Version>> newest_dirty_;
-  std::unordered_map<std::uint64_t, Lba> order_to_lba_;
   std::vector<Entry> history_;
 };
 

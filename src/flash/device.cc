@@ -31,17 +31,17 @@ void StorageDevice::start() {
   qd_last_change_ = sim_.now();
   log_.start();
   // Device-internal actors are hardware: no host scheduler wake latency.
-  sim_.spawn("dev:ctl", controller_loop()).wake_latency = 0;
+  sim_.spawn("dev:ctl", controller_loop())->wake_latency = 0;
   switch (profile_.barrier_mode) {
     case BarrierMode::kInOrderWriteback:
-      sim_.spawn("dev:drain", drain_loop_epoch()).wake_latency = 0;
+      sim_.spawn("dev:drain", drain_loop_epoch())->wake_latency = 0;
       break;
     case BarrierMode::kTransactional:
-      sim_.spawn("dev:txn", transactional_loop()).wake_latency = 0;
+      sim_.spawn("dev:txn", transactional_loop())->wake_latency = 0;
       break;
     case BarrierMode::kNone:
     case BarrierMode::kInOrderRecovery:
-      sim_.spawn("dev:drain", drain_loop_fifo()).wake_latency = 0;
+      sim_.spawn("dev:drain", drain_loop_fifo())->wake_latency = 0;
       break;
   }
   // PLP devices also drain in the background (the cache is durable, but
@@ -117,7 +117,7 @@ sim::Task StorageDevice::controller_loop() {
           // iolint: detached-owner(ports_ live on the device, which outlives
           // every command handler; complete() erases only this handler's
           // own slot)
-          sim_.spawn("dev:cmd", handle(*port, it)).wake_latency = 0;
+          sim_.spawn("dev:cmd", handle(*port, it))->wake_latency = 0;
         }
       }
     }
@@ -317,7 +317,7 @@ sim::Task StorageDevice::drain_loop_fifo() {
     // in-order recovery truncation relies on.
     co_await log_.reserve(e.lba, e.version, r);
     co_await drain_slots_.acquire();
-    sim_.spawn("dev:pgm", drain_one(e, r)).wake_latency = 0;
+    sim_.spawn("dev:pgm", drain_one(e, r))->wake_latency = 0;
   }
 }
 
@@ -336,7 +336,7 @@ sim::Task StorageDevice::drain_loop_epoch() {
     co_await log_.reserve(e.lba, e.version, r);
     co_await drain_slots_.acquire();
     ++epoch_inflight_programs_;
-    sim_.spawn("dev:pgm", drain_one(e, r)).wake_latency = 0;
+    sim_.spawn("dev:pgm", drain_one(e, r))->wake_latency = 0;
   }
 }
 
@@ -367,15 +367,13 @@ sim::Task StorageDevice::transactional_loop() {
       std::vector<SegmentLog::Reservation> rs(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i)
         co_await log_.reserve(batch[i].lba, batch[i].version, rs[i]);
-      std::vector<sim::ThreadCtx*> workers;
+      std::vector<sim::Thread> workers;
       workers.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        {
-        sim::ThreadCtx& w = sim_.spawn("dev:pgm", log_.program_reserved(rs[i]));
-        w.wake_latency = 0;
-        workers.push_back(&w);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        workers.push_back(sim_.spawn("dev:pgm", log_.program_reserved(rs[i])));
+        workers.back()->wake_latency = 0;
       }
-      for (sim::ThreadCtx* w : workers) co_await sim_.join(*w);
+      for (const sim::Thread& w : workers) co_await sim_.join(w);
       // The batch becomes durable atomically at the commit point.
       log_.mark_commit_point();
       std::uint64_t high = 0;

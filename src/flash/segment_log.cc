@@ -27,7 +27,7 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
 void SegmentLog::start() {
   BIO_CHECK(!started_);
   started_ = true;
-  sim_.spawn("ftl:gc", gc_loop()).wake_latency = 0;
+  sim_.spawn("ftl:gc", gc_loop())->wake_latency = 0;
 }
 
 bool SegmentLog::space_available() const noexcept {
@@ -37,7 +37,8 @@ bool SegmentLog::space_available() const noexcept {
   return free_segments_.size() > 2;
 }
 
-SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version) {
+SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version,
+                                            Mapping& m) {
   Segment* seg = &segments_[active_segment_];
   if (seg->full()) {
     BIO_CHECK_MSG(!free_segments_.empty(), "allocate_slot without space");
@@ -50,29 +51,20 @@ SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version) {
   const SlotId slot =
       static_cast<SlotId>(active_segment_) * geom_.pages_per_segment() +
       offset;
-  install_mapping(lba, slot);
-  seg->slots[offset] = PhysSlot{lba, true};
-  ++seg->valid_count;
-  history_.push_back(AppendRecord{lba, version, false, false});
-  mapped_version_[lba] = MappedContent{version, history_.size() - 1};
-  return Alloc{slot, history_.size() - 1};
-}
-
-void SegmentLog::install_mapping(Lba lba, SlotId slot) {
-  auto it = mapping_.find(lba);
-  if (it != mapping_.end()) {
-    const SlotId old = it->second;
-    Segment& old_seg = segments_[old / geom_.pages_per_segment()];
-    PhysSlot& old_slot = old_seg.slots[old % geom_.pages_per_segment()];
+  if (m.slot != kUnmapped) {
+    Segment& old_seg = segments_[m.slot / geom_.pages_per_segment()];
+    PhysSlot& old_slot = old_seg.slots[m.slot % geom_.pages_per_segment()];
     if (old_slot.valid) {
       old_slot.valid = false;
       BIO_CHECK(old_seg.valid_count > 0);
       --old_seg.valid_count;
     }
-    it->second = slot;
-  } else {
-    mapping_.emplace(lba, slot);
   }
+  seg->slots[offset] = PhysSlot{lba, true};
+  ++seg->valid_count;
+  history_.push_back(AppendRecord{lba, version, false, false});
+  m = Mapping{slot, version, history_.size() - 1};
+  return Alloc{slot, m.history_index};
 }
 
 void SegmentLog::mark_programmed(std::uint64_t history_index) {
@@ -97,7 +89,7 @@ sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
     gc_wake_.notify_all();
     co_await space_freed_.wait();
   }
-  const Alloc alloc = allocate_slot(lba, version);
+  const Alloc alloc = allocate_slot(lba, version, mapping_[lba]);
   if (needs_gc()) gc_wake_.notify_all();
   out = Reservation{alloc.slot, alloc.history_index};
 }
@@ -116,7 +108,7 @@ sim::Task SegmentLog::append(Lba lba, Version version) {
 sim::Task SegmentLog::read(Lba lba) {
   auto it = mapping_.find(lba);
   if (it == mapping_.end()) co_return;  // unmapped: served as zeroes
-  co_await nand_.read(chip_of(it->second));
+  co_await nand_.read(chip_of(it->second.slot));
 }
 
 void SegmentLog::mark_commit_point() { commit_point_ = history_.size(); }
@@ -144,8 +136,8 @@ std::unordered_map<Lba, Version> SegmentLog::durable_committed() const {
 }
 
 std::optional<Version> SegmentLog::mapped_version(Lba lba) const {
-  auto it = mapped_version_.find(lba);
-  if (it == mapped_version_.end()) return std::nullopt;
+  auto it = mapping_.find(lba);
+  if (it == mapping_.end()) return std::nullopt;
   return it->second.version;
 }
 
@@ -158,7 +150,7 @@ void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
   for (std::uint64_t i = 0; i < target; ++i) {
     if (!space_available()) break;
     const Lba lba = rng.uniform(0, lba_span - 1);
-    const Alloc alloc = allocate_slot(lba, /*version=*/0);
+    const Alloc alloc = allocate_slot(lba, /*version=*/0, mapping_[lba]);
     history_[alloc.history_index].programmed = true;
   }
   advance_prefix();
@@ -192,32 +184,29 @@ sim::Task SegmentLog::gc_loop() {
     ++gc_.runs;
     // Relocate valid pages (bounded concurrency), then erase the segment.
     sim::Semaphore inflight(sim_, params_.gc_inflight);
-    std::vector<sim::ThreadCtx*> workers;
+    std::vector<sim::Thread> workers;
     const std::uint64_t base =
         static_cast<std::uint64_t>(victim) * geom_.pages_per_segment();
     for (std::uint32_t off = 0; off < geom_.pages_per_segment(); ++off) {
       if (!segments_[victim].slots[off].valid) continue;
       // iolint: detached-owner(the join loop below waits every worker
       // before the semaphore and segment state go away)
-      sim::ThreadCtx& w =
-          sim_.spawn("gc", relocate_slot(base + off, inflight));
-      w.wake_latency = 0;
-      workers.push_back(&w);
+      workers.push_back(sim_.spawn("gc", relocate_slot(base + off, inflight)));
+      workers.back()->wake_latency = 0;
     }
-    for (sim::ThreadCtx* w : workers) co_await sim_.join(*w);
+    for (const sim::Thread& w : workers) co_await sim_.join(w);
     BIO_CHECK_MSG(segments_[victim].valid_count == 0,
                   "GC victim still has valid pages after relocation");
 
     // Erase the victim's block on every chip, in parallel. The controller
     // is busy during the erase burst: host commands stall (tail source).
     erasing_ = true;
-    std::vector<sim::ThreadCtx*> erasers;
+    std::vector<sim::Thread> erasers;
     for (std::uint32_t c = 0; c < nand_.chip_count(); ++c) {
-      sim::ThreadCtx& w = sim_.spawn("gc:erase", nand_.erase(c));
-      w.wake_latency = 0;
-      erasers.push_back(&w);
+      erasers.push_back(sim_.spawn("gc:erase", nand_.erase(c)));
+      erasers.back()->wake_latency = 0;
     }
-    for (sim::ThreadCtx* w : erasers) co_await sim_.join(*w);
+    for (const sim::Thread& w : erasers) co_await sim_.join(w);
 
     erasing_ = false;
     erase_done_.notify_all();
@@ -240,15 +229,15 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
           .slots[victim_slot % geom_.pages_per_segment()]
           .lba;
   auto it = mapping_.find(lba);
-  if (it == mapping_.end() || it->second != victim_slot) {
+  if (it == mapping_.end() || it->second.slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.
     inflight.release();
     co_return;
   }
   // Synchronous slot assignment keeps log order consistent with mapping
   // updates (no suspension between the check above and the allocation).
-  const MappedContent src = mapped_version_.at(lba);
-  const Alloc alloc = allocate_slot(lba, src.version);
+  const Mapping src = it->second;
+  const Alloc alloc = allocate_slot(lba, src.version, it->second);
   // Only a relocation of already-programmed content is redundant for
   // recovery; copying a page whose own program is still in flight must
   // gate the prefix like any other append.

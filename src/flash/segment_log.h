@@ -144,18 +144,29 @@ class SegmentLog {
     return static_cast<std::uint32_t>(slot % nand_.chip_count());
   }
 
-  /// Allocates the next physical slot and history index. Synchronous (no
-  /// suspension between the capacity check and the assignment).
+  /// Slot of an LBA mapping entry that was just created.
+  static constexpr SlotId kUnmapped = ~SlotId{0};
+
+  /// Where an LBA's current content lives and which append put it there.
+  struct Mapping {
+    SlotId slot = kUnmapped;
+    Version version = 0;
+    std::uint64_t history_index = 0;  // record that installed this mapping
+  };
+
+  /// Allocates the next physical slot and history index for `lba`, whose
+  /// mapping entry is `m`, and remaps `m` there (invalidating the slot it
+  /// pointed at). Synchronous (no suspension between the capacity check and
+  /// the assignment).
   struct Alloc {
     SlotId slot;
     std::uint64_t history_index;
   };
-  Alloc allocate_slot(Lba lba, Version version);
+  Alloc allocate_slot(Lba lba, Version version, Mapping& m);
 
   /// True if a slot can be allocated right now.
   bool space_available() const noexcept;
 
-  void install_mapping(Lba lba, SlotId slot);
   void mark_programmed(std::uint64_t history_index);
   void advance_prefix();
 
@@ -174,12 +185,7 @@ class SegmentLog {
   std::deque<std::uint32_t> free_segments_;
   std::uint32_t active_segment_;
 
-  struct MappedContent {
-    Version version = 0;
-    std::uint64_t history_index = 0;  // record that installed this mapping
-  };
-  std::unordered_map<Lba, SlotId> mapping_;
-  std::unordered_map<Lba, MappedContent> mapped_version_;
+  std::unordered_map<Lba, Mapping> mapping_;
 
   std::vector<AppendRecord> history_;  // append order = persist order
   std::uint64_t prefix_ = 0;           // programmed prefix watermark

@@ -31,24 +31,37 @@ Simulator::~Simulator() {
   // cascades into any nested child tasks they own).
   queue_.clear();
   callbacks_.clear();
-  for (auto& [thr, handle] : live_) handle.destroy();
+  for (const auto& ctx : pool_)
+    if (!ctx->finished) ctx->frame_.destroy();
 }
 
-ThreadCtx& Simulator::spawn(std::string name, Task task) {
+Thread Simulator::spawn(std::string name, Task task) {
   BIO_CHECK_MSG(task.valid(), "spawn of an empty task");
-  auto ctx = std::make_unique<ThreadCtx>();
+  ThreadCtx* ctx;
+  if (!free_.empty()) {
+    ctx = free_.back();
+    free_.pop_back();
+    ctx->context_switches = 0;
+    ctx->blocks = 0;
+    ctx->finished = false;
+    ctx->wake_latency.reset();
+  } else {
+    pool_.push_back(std::make_unique<ThreadCtx>());
+    // recycle() is noexcept: the free list never outgrows the pool.
+    free_.reserve(pool_.size());
+    ctx = pool_.back().get();
+    ctx->sim_ = this;
+  }
   ctx->name = std::move(name);
-  ctx->id = threads_.size();
-  ThreadCtx& ref = *ctx;
-  threads_.push_back(std::move(ctx));
+  ctx->id = next_thread_id_++;
 
   Task::Handle h = task.release();
   h.promise().sim = this;
   h.promise().detached = true;
-  h.promise().thread = &ref;
-  live_.emplace(&ref, h);
-  schedule_resume(now_, h, &ref, false);
-  return ref;
+  h.promise().thread = ctx;
+  ctx->frame_ = h;
+  schedule_resume(now_, h, ctx, false);
+  return Thread(ctx);
 }
 
 void Simulator::schedule_resume(SimTime at, std::coroutine_handle<> h,
@@ -123,26 +136,35 @@ void Simulator::on_top_level_done(ThreadCtx* thr, std::exception_ptr error) {
     stopped_ = true;
   }
   if (thr == nullptr) return;
-  live_.erase(thr);
   thr->finished = true;
+  thr->frame_ = {};
+  NameTotals& totals = finished_totals_[thr->name];
+  ++totals.threads;
+  totals.context_switches += thr->context_switches;
   for (const auto& w : thr->join_waiters)
     schedule_wakeup(w.handle, w.waiter_thread);
   thr->join_waiters.clear();
+  if (thr->pins_ == 0) recycle(thr);
 }
 
 std::uint64_t Simulator::total_context_switches(
     std::string_view prefix) const {
   std::uint64_t total = 0;
-  for (const auto& t : threads_)
-    if (std::string_view(t->name).starts_with(prefix))
+  for (const auto& [name, totals] : finished_totals_)
+    if (std::string_view(name).starts_with(prefix))
+      total += totals.context_switches;
+  for (const auto& t : pool_)
+    if (!t->finished && std::string_view(t->name).starts_with(prefix))
       total += t->context_switches;
   return total;
 }
 
 std::uint64_t Simulator::thread_count(std::string_view prefix) const {
   std::uint64_t n = 0;
-  for (const auto& t : threads_)
-    if (std::string_view(t->name).starts_with(prefix)) ++n;
+  for (const auto& [name, totals] : finished_totals_)
+    if (std::string_view(name).starts_with(prefix)) n += totals.threads;
+  for (const auto& t : pool_)
+    if (!t->finished && std::string_view(t->name).starts_with(prefix)) ++n;
   return n;
 }
 

@@ -7,6 +7,16 @@
 // *context switch*: the wake is delayed by Params::wake_latency and the
 // thread's ThreadCtx::context_switches counter is incremented. This mirrors
 // how the paper counts "application level context switches" (Fig 11).
+//
+// Thread lifecycle (DESIGN.md §15): memory is bounded by peak concurrency,
+// not by the number of threads ever spawned. A ThreadCtx comes from a free
+// list and goes back to it when its thread finishes, unless a Thread handle
+// still pins it. spawn() returns such a handle; a pinned context keeps its
+// fields and is never reused, so reading or joining a finished thread
+// through a handle stays valid. At finish, the thread's count and context
+// switches are folded into per-name totals, which is what
+// total_context_switches() and thread_count() sum together with the live
+// threads.
 #pragma once
 
 #include <coroutine>
@@ -16,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/check.h"
@@ -24,7 +35,11 @@
 
 namespace bio::sim {
 
-/// Bookkeeping for one simulated thread (one top-level Task).
+class Simulator;
+
+/// Bookkeeping for one simulated thread (one top-level Task). Contexts are
+/// recycled: hold a Thread handle to keep one readable after its thread
+/// finishes.
 struct ThreadCtx {
   std::string name;
   /// Spawn ordinal, unique within one Simulator (0, 1, 2, ... in spawn
@@ -46,6 +61,47 @@ struct ThreadCtx {
     ThreadCtx* waiter_thread;
   };
   std::vector<JoinWaiter> join_waiters;
+
+ private:
+  friend class Simulator;
+  friend class Thread;
+  Simulator* sim_ = nullptr;
+  /// Top-level frame while the thread runs; destroyed on teardown.
+  std::coroutine_handle<> frame_;
+  /// Live Thread handles; a finished context is reused only at zero.
+  std::uint32_t pins_ = 0;
+};
+
+/// Handle to a spawned thread that pins its ThreadCtx: while any handle
+/// exists the context is not reused, so its fields stay those of this
+/// thread and join() on it returns at once after it finishes. Cheap to
+/// drop: call sites that only set wake_latency discard it at once. A
+/// handle must not outlive its Simulator.
+class Thread {
+ public:
+  Thread() = default;
+  Thread(const Thread& other) noexcept : ctx_(other.ctx_) { pin(); }
+  Thread(Thread&& other) noexcept : ctx_(std::exchange(other.ctx_, nullptr)) {}
+  Thread& operator=(Thread other) noexcept {
+    std::swap(ctx_, other.ctx_);
+    return *this;
+  }
+  ~Thread() { reset(); }
+
+  ThreadCtx* get() const noexcept { return ctx_; }
+  ThreadCtx* operator->() const noexcept { return ctx_; }
+
+  /// Drops the pin (the context is recycled if its thread has finished
+  /// and no other handle holds it).
+  void reset() noexcept;
+
+ private:
+  friend class Simulator;
+  explicit Thread(ThreadCtx* ctx) noexcept : ctx_(ctx) { pin(); }
+  void pin() noexcept {
+    if (ctx_ != nullptr) ++ctx_->pins_;
+  }
+  ThreadCtx* ctx_ = nullptr;
 };
 
 class Simulator {
@@ -68,7 +124,7 @@ class Simulator {
   /// Starts `task` as a new simulated thread named `name`. The thread's
   /// first instruction runs at the current simulated time (after already
   /// pending events at that time).
-  ThreadCtx& spawn(std::string name, Task task);
+  Thread spawn(std::string name, Task task);
 
   /// Runs until the event queue drains or stop() is called. Rethrows the
   /// first exception that escaped any simulated thread.
@@ -103,18 +159,19 @@ class Simulator {
 
   struct JoinAwaiter {
     Simulator& sim;
-    ThreadCtx& target;
-    bool await_ready() const noexcept { return target.finished; }
+    /// Pins the target for the length of the wait.
+    Thread target;
+    bool await_ready() const noexcept { return target->finished; }
     void await_suspend(std::coroutine_handle<> h) const {
       ThreadCtx* cur = sim.current_;
       if (cur != nullptr) ++cur->blocks;
-      target.join_waiters.push_back({h, cur});
+      target->join_waiters.push_back({h, cur});
     }
     void await_resume() const noexcept {}
   };
 
   /// Blocks the calling simulated thread until `target` finishes.
-  JoinAwaiter join(ThreadCtx& target) noexcept {
+  JoinAwaiter join(const Thread& target) noexcept {
     return JoinAwaiter{*this, target};
   }
 
@@ -149,6 +206,10 @@ class Simulator {
 
   /// Number of live + finished threads whose name starts with `prefix`.
   std::uint64_t thread_count(std::string_view prefix = {}) const;
+
+  /// ThreadCtx objects allocated so far: live threads plus pinned and free
+  /// contexts. Bounded by peak concurrency plus pinned handles.
+  std::size_t context_pool_size() const noexcept { return pool_.size(); }
 
   /// Total events the loop has dispatched (resumes + callbacks) — the
   /// denominator for events/sec in the perf suite.
@@ -224,6 +285,10 @@ class Simulator {
 
   void dispatch(const Scheduled& ev);
 
+  friend class Thread;
+  /// Returns a finished, unpinned context to the free list.
+  void recycle(ThreadCtx* ctx) noexcept { free_.push_back(ctx); }
+
   Params params_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -234,10 +299,23 @@ class Simulator {
   std::vector<std::function<void()>> callbacks_;
   std::vector<std::uint32_t> free_callback_slots_;
   ThreadCtx* current_ = nullptr;
-  std::vector<std::unique_ptr<ThreadCtx>> threads_;
-  /// Frames of still-live top-level tasks, destroyed on simulator teardown.
-  std::unordered_map<ThreadCtx*, std::coroutine_handle<>> live_;
+  std::uint64_t next_thread_id_ = 0;
+  /// Every context ever allocated; free_ lists the reusable ones.
+  std::vector<std::unique_ptr<ThreadCtx>> pool_;
+  std::vector<ThreadCtx*> free_;
+  /// Per-name totals of finished threads.
+  struct NameTotals {
+    std::uint64_t threads = 0;
+    std::uint64_t context_switches = 0;
+  };
+  std::unordered_map<std::string, NameTotals> finished_totals_;
   std::exception_ptr failure_;
 };
+
+inline void Thread::reset() noexcept {
+  ThreadCtx* ctx = std::exchange(ctx_, nullptr);
+  if (ctx != nullptr && --ctx->pins_ == 0 && ctx->finished)
+    ctx->sim_->recycle(ctx);
+}
 
 }  // namespace bio::sim

@@ -54,7 +54,7 @@ struct Ctx {
   std::vector<SyncPick> matrix;
   /// Detached close-during-sync tasks; setup joins them after the writers
   /// so nothing referencing this Ctx outlives it.
-  std::vector<sim::ThreadCtx*> chaos;
+  std::vector<sim::Thread> chaos;
 };
 
 /// Issues one sync through `fd` and records it in the trace iff it returns
@@ -243,7 +243,7 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
               rng.uniform(0, ctx.matrix.size() - 1))];
           // iolint: detached-owner(setup joins ctx.chaos after the writers
           // finish; ctx and the Shared file records outlive every sync)
-          ctx.chaos.push_back(&ctx.vol.sim().spawn(
+          ctx.chaos.push_back(ctx.vol.sim().spawn(
               "conc:chaos",
               do_sync(&ctx, &f, policy_of(f), fds[li].fd(), pick, w)));
           co_await ctx.vol.sim().yield();  // let the sync pin the vnode
@@ -322,7 +322,7 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
   }
 
   sim::Rng base(ctx->p.seed * 0x9e3779b97f4a7c15ULL + 1);
-  std::vector<sim::ThreadCtx*> threads;
+  std::vector<sim::Thread> threads;
   for (std::uint32_t w = 0; w < p.writers; ++w) {
     std::vector<std::size_t> my_files;
     for (std::uint32_t i = 0; i < p.shared_files; ++i) my_files.push_back(i);
@@ -330,16 +330,16 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
       my_files.push_back(p.shared_files + w * p.private_files + j);
     // iolint: detached-owner(the join loop below waits every writer and
     // chaos task; the Ctx unique_ptr outlives them in this frame)
-    threads.push_back(&ctx->vol.sim().spawn(
+    threads.push_back(ctx->vol.sim().spawn(
         "conc:w" + std::to_string(w),
         writer_body(ctx.get(), std::move(my_files), w, base.fork())));
   }
   // Keep the Ctx alive until every writer and every detached chaos sync
   // has finished (more chaos tasks cannot appear once the writers are
   // done, so the plain index loop below sees all of them).
-  for (sim::ThreadCtx* t : threads) co_await ctx->vol.sim().join(*t);
+  for (const sim::Thread& t : threads) co_await ctx->vol.sim().join(t);
   for (std::size_t i = 0; i < ctx->chaos.size(); ++i)
-    co_await ctx->vol.sim().join(*ctx->chaos[i]);
+    co_await ctx->vol.sim().join(ctx->chaos[i]);
 }
 
 }  // namespace

@@ -357,14 +357,14 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
   }
 
   sim::Rng base(ctx->p.seed * 0x9e3779b97f4a7c15ULL + 5);
-  std::vector<sim::ThreadCtx*> threads;
+  std::vector<sim::Thread> threads;
   for (std::uint32_t w = 0; w < p.writers; ++w)
     // iolint: detached-owner(the join loop below waits every writer; the
     // Ctx unique_ptr outlives them in this frame)
-    threads.push_back(&ctx->vol.sim().spawn(
+    threads.push_back(ctx->vol.sim().spawn(
         "ring:w" + std::to_string(w),
         ring_writer(ctx.get(), w, base.fork())));
-  for (sim::ThreadCtx* t : threads) co_await ctx->vol.sim().join(*t);
+  for (const sim::Thread& t : threads) co_await ctx->vol.sim().join(t);
 }
 
 }  // namespace

@@ -176,5 +176,83 @@ TEST(WritebackCacheTest, UndrainedEntriesSnapshotInArrivalOrder) {
   EXPECT_EQ(entries[1].lba, 3u);
 }
 
+TEST(WritebackCacheTest, OutOfOrderDrainKeepsWindowConsistent) {
+  Simulator sim;
+  WritebackCache cache(sim, 8);
+  auto body = [&]() -> Task {
+    // Orders 0..4; LBA 7 is written twice (orders 1 and 3).
+    co_await cache.insert(5, 1, 0, false);
+    co_await cache.insert(7, 2, 0, false);
+    co_await cache.insert(9, 3, 1, true);
+    co_await cache.insert(7, 4, 1, false);
+    co_await cache.insert(11, 5, 2, false);
+    WritebackCache::Entry e;
+    for (int i = 0; i < 5; ++i) co_await cache.claim_next(e);
+  };
+  sim.spawn("t", body());
+  sim.run();
+  auto lbas = [&] {
+    std::vector<Lba> out;
+    for (const auto& e : cache.undrained_entries()) out.push_back(e.lba);
+    return out;
+  };
+
+  // Drain the newest copy of LBA 7 and a middle entry first.
+  cache.mark_drained(3);
+  cache.mark_drained(2);
+  EXPECT_EQ(cache.dirty_count(), 3u);
+  EXPECT_FALSE(cache.drained_through(1));
+  EXPECT_TRUE(cache.drained_through(0));
+  EXPECT_EQ(cache.lookup(7), std::nullopt)
+      << "the newest write of LBA 7 drained; the older copy does not count";
+  EXPECT_EQ(cache.lookup(9), std::nullopt);
+  EXPECT_EQ(cache.lookup(11), Version{5});
+  EXPECT_EQ(lbas(), (std::vector<Lba>{5, 7, 11}));
+  EXPECT_EQ(cache.undrained_entries()[1].order, 1u);
+
+  // Draining the oldest moves the window past the already drained 2 and 3
+  // only once order 1 drains too.
+  cache.mark_drained(0);
+  EXPECT_TRUE(cache.drained_through(1));
+  EXPECT_FALSE(cache.drained_through(2));
+  cache.mark_drained(1);
+  EXPECT_TRUE(cache.drained_through(4));
+  EXPECT_FALSE(cache.drained_through(5));
+  EXPECT_EQ(cache.dirty_count(), 1u);
+  EXPECT_EQ(lbas(), (std::vector<Lba>{11}));
+  EXPECT_EQ(cache.lookup(5), std::nullopt);
+
+  // Double and unknown drains still fail their check.
+  EXPECT_THROW(cache.mark_drained(3), bio::CheckFailure);  // drained, popped
+  EXPECT_THROW(cache.mark_drained(5), bio::CheckFailure);  // never inserted
+  EXPECT_EQ(cache.dirty_count(), 1u);
+  cache.mark_drained(4);
+  EXPECT_THROW(cache.mark_drained(4), bio::CheckFailure);
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  EXPECT_TRUE(cache.drained_through(100));
+  EXPECT_TRUE(cache.undrained_entries().empty());
+  EXPECT_EQ(cache.transfer_history().size(), 5u);
+}
+
+TEST(WritebackCacheTest, DoubleOrUnclaimedDrainInsideWindowFails) {
+  Simulator sim;
+  WritebackCache cache(sim, 8);
+  auto body = [&]() -> Task {
+    co_await cache.insert(1, 1, 0, false);
+    co_await cache.insert(2, 2, 0, false);
+    co_await cache.insert(3, 3, 0, false);
+    WritebackCache::Entry e;
+    co_await cache.claim_next(e);
+    co_await cache.claim_next(e);
+  };
+  sim.spawn("t", body());
+  sim.run();
+  cache.mark_drained(1);  // order 0 still holds the window open
+  EXPECT_THROW(cache.mark_drained(1), bio::CheckFailure);
+  EXPECT_THROW(cache.mark_drained(2), bio::CheckFailure) << "not claimed";
+  EXPECT_EQ(cache.dirty_count(), 2u);
+  EXPECT_FALSE(cache.drained_through(1));
+}
+
 }  // namespace
 }  // namespace bio::flash

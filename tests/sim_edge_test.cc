@@ -22,7 +22,7 @@ TEST(WakeLatencyTest, PerThreadOverrideBeatsGlobal) {
     co_await ev.wait();
     sw_woke = sim.now();
   };
-  sim.spawn("hw", hw()).wake_latency = 0;  // hardware actor
+  sim.spawn("hw", hw())->wake_latency = 0;  // hardware actor
   sim.spawn("sw", sw());                   // host thread
   auto trigger = [&]() -> Task {
     co_await sim.delay(10_us);
@@ -42,7 +42,7 @@ TEST(WakeLatencyTest, OverrideCanExceedGlobal) {
     co_await ev.wait();
     woke = sim.now();
   };
-  sim.spawn("slow", slow()).wake_latency = 50_us;
+  sim.spawn("slow", slow())->wake_latency = 50_us;
   auto trigger = [&]() -> Task {
     ev.trigger();
     co_return;

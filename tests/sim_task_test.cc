@@ -186,7 +186,7 @@ TEST(SimulatorTest, JoinWaitsForThreadCompletion) {
   Simulator sim;
   SimTime joined_at = 0;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  auto w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task {
     co_await sim.join(w);
     joined_at = sim.now();
@@ -194,13 +194,13 @@ TEST(SimulatorTest, JoinWaitsForThreadCompletion) {
   sim.spawn("waiter", waiter());
   sim.run();
   EXPECT_GE(joined_at, 50_us);
-  EXPECT_TRUE(w.finished);
+  EXPECT_TRUE(w->finished);
 }
 
 TEST(SimulatorTest, JoinOnFinishedThreadIsImmediate) {
   Simulator sim;
   auto worker = [&]() -> Task { co_await sim.delay(1_us); };
-  auto& w = sim.spawn("worker", worker());
+  auto w = sim.spawn("worker", worker());
   sim.run();
   bool joined = false;
   auto waiter = [&]() -> Task {
@@ -215,21 +215,21 @@ TEST(SimulatorTest, JoinOnFinishedThreadIsImmediate) {
 TEST(SimulatorTest, JoinCountsAsContextSwitch) {
   Simulator sim;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  auto w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task { co_await sim.join(w); };
-  auto& wt = sim.spawn("waiter", waiter());
+  auto wt = sim.spawn("waiter", waiter());
   sim.run();
-  EXPECT_EQ(wt.context_switches, 1u);
-  EXPECT_EQ(wt.blocks, 1u);
+  EXPECT_EQ(wt->context_switches, 1u);
+  EXPECT_EQ(wt->blocks, 1u);
   // Pure delays never count as context switches.
-  EXPECT_EQ(w.context_switches, 0u);
+  EXPECT_EQ(w->context_switches, 0u);
 }
 
 TEST(SimulatorTest, WakeLatencyChargedOnWakeup) {
   Simulator sim({.wake_latency = 5_us});
   SimTime joined_at = 0;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  auto w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task {
     co_await sim.join(w);
     joined_at = sim.now();
