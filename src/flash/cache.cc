@@ -13,7 +13,7 @@ sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
   e.barrier = barrier;
   window_.push_back(InFlight{e});
   ++dirty_count_;
-  newest_dirty_[lba] = {e.order, version};
+  newest_dirty_[lba] = Newest{e.order, version};
   history_.push_back(e);
   drain_ready_.notify_all();
 }
@@ -30,9 +30,9 @@ void WritebackCache::mark_drained(std::uint64_t order) {
   InFlight& slot = window_[order - window_base_];
   slot.drained = true;
   --dirty_count_;
-  auto newest = newest_dirty_.find(slot.entry.lba);
-  if (newest != newest_dirty_.end() && newest->second.first == order)
-    newest_dirty_.erase(newest);
+  const Newest* newest = newest_dirty_.find(slot.entry.lba);
+  if (newest != nullptr && newest->order == order)
+    newest_dirty_.erase(slot.entry.lba);
   while (!window_.empty() && window_.front().drained) {
     window_.pop_front();
     ++window_base_;
@@ -46,9 +46,9 @@ sim::Task WritebackCache::wait_drained_through(std::uint64_t through) {
 }
 
 std::optional<Version> WritebackCache::lookup(Lba lba) const {
-  auto it = newest_dirty_.find(lba);
-  if (it == newest_dirty_.end()) return std::nullopt;
-  return it->second.second;
+  const Newest* newest = newest_dirty_.find(lba);
+  if (newest == nullptr) return std::nullopt;
+  return newest->version;
 }
 
 std::vector<WritebackCache::Entry> WritebackCache::undrained_entries() const {

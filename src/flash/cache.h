@@ -10,14 +10,19 @@
 // With power-loss protection (supercap) the cache itself is durable, so a
 // flush answers in O(1); without PLP a flush must wait until every entry
 // transferred so far has been programmed.
+//
+// Per-IO state is flat: the in-flight orders sit in one dense window
+// indexed by order, and the newest-dirty index (read hits) is an LbaTable
+// (lba_table.h), so insert, drain and lookup allocate nothing once the
+// touched LBA chunks exist.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "flash/lba_table.h"
 #include "flash/types.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -109,7 +114,12 @@ class WritebackCache {
   std::uint64_t window_base_ = 0;
   std::uint64_t next_claim_ = 0;
   std::size_t dirty_count_ = 0;
-  std::unordered_map<Lba, std::pair<std::uint64_t, Version>> newest_dirty_;
+  /// LBA -> its newest write while that write is still undrained.
+  struct Newest {
+    std::uint64_t order = 0;
+    Version version = 0;
+  };
+  LbaTable<Newest> newest_dirty_;
   std::vector<Entry> history_;
 };
 

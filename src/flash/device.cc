@@ -58,49 +58,87 @@ bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
   }
   cmd->seq = next_seq_++;
   ++port.submissions;
-  port.window.push_back(Slot{std::move(cmd), false, false});
+  if (port.spare.empty())
+    port.window.emplace_back();
+  else
+    port.window.splice(port.window.end(), port.spare, port.spare.begin());
+  Slot& slot = port.window.back();
+  slot.key = FenceKey{cmd->fence_epoch, cmd->seq};
+  slot.started = false;
+  slot.dma_done = false;
+  if (is_data(*cmd)) {
+    // Fence keys mostly arrive in ascending order: append fast path.
+    auto insert = [&key = slot.key](std::vector<FenceKey>& keys) {
+      keys.insert(keys.empty() || keys.back() < key
+                      ? keys.end()
+                      : std::lower_bound(keys.begin(), keys.end(), key),
+                  key);
+    };
+    insert(untransferred_);
+    if (cmd->priority == Priority::kOrdered) insert(untransferred_ordered_);
+  }
+  slot.cmd = std::move(cmd);
   note_qd_change();
   queue_event_.notify_all();
   return true;
 }
 
-namespace {
-
-/// Transfer-fence precedence: epoch-major, seq-minor. Multi-queue hosts can
-/// submit commands out of epoch order across ports; a lower fence epoch
-/// always transfers first regardless of seq. Fenced hosts stamp EVERY
-/// command (reads and orderless writes included) with its enqueue-time
-/// epoch, so epoch-major order agrees with enqueue order and no command
-/// jumps the fence with a stale epoch-0 stamp. Single-queue hosts stamp
-/// every command epoch 0, collapsing this to the classic seq comparison.
-bool precedes(const Command& a, const Command& b) {
-  return a.fence_epoch != b.fence_epoch ? a.fence_epoch < b.fence_epoch
-                                        : a.seq < b.seq;
-}
-
-}  // namespace
-
 bool StorageDevice::transfer_eligible(const Slot& slot) const {
   // §3.4: the command *processing* overlaps freely; only the order of the
   // data transfers is fenced by ORDERED priorities. "Earlier" means lower
   // (fence_epoch, seq), across every port's window — ports parallelise
-  // transfers, not the ordering contract.
+  // transfers, not the ordering contract. Epoch-major: multi-queue hosts
+  // can submit commands out of epoch order across ports, and a lower fence
+  // epoch always transfers first regardless of seq. Fenced hosts stamp
+  // EVERY command (reads and orderless writes included) with its
+  // enqueue-time epoch, so epoch-major order agrees with enqueue order and
+  // no command jumps the fence with a stale epoch-0 stamp. Single-queue
+  // hosts stamp every command epoch 0, collapsing this to the classic seq
+  // comparison.
   const Command& cmd = *slot.cmd;
   if (cmd.priority == Priority::kHeadOfQueue) return true;
   if (cmd.op == OpCode::kFlush) return true;  // flushes never wait for data
-  if (cmd.priority == Priority::kOrdered) {
-    // Every earlier data command must have transferred.
-    for (const auto& port : ports_)
-      for (const Slot& p : port->window)
-        if (precedes(*p.cmd, cmd) && is_data(p) && !p.dma_done) return false;
-    return true;
+  // ORDERED: every earlier data command must have transferred. SIMPLE:
+  // fenced only by earlier ORDERED data commands. The index is sorted, so
+  // an earlier un-transferred command exists iff the front key precedes
+  // this one.
+  const std::vector<FenceKey>& fence = cmd.priority == Priority::kOrdered
+                                           ? untransferred_
+                                           : untransferred_ordered_;
+  return fence.empty() || !(fence.front() < slot.key);
+}
+
+void StorageDevice::transfer_done(Slot& slot) {
+  slot.dma_done = true;
+  if (!is_data(*slot.cmd)) return;
+  auto erase = [&key = slot.key](std::vector<FenceKey>& keys) {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    BIO_CHECK_MSG(it != keys.end() && *it == key, "fence index out of sync");
+    keys.erase(it);
+  };
+  erase(untransferred_);
+  if (slot.cmd->priority == Priority::kOrdered)
+    erase(untransferred_ordered_);
+}
+
+bool StorageDevice::check_fence_index() const {
+  for (const auto& port : ports_) {
+    for (const Slot& slot : port->window) {
+      const Command& cmd = *slot.cmd;
+      bool eligible = true;
+      if (cmd.priority != Priority::kHeadOfQueue &&
+          cmd.op != OpCode::kFlush) {
+        for (const auto& other : ports_)
+          for (const Slot& p : other->window)
+            if (p.key < slot.key && is_data(*p.cmd) && !p.dma_done &&
+                (cmd.priority == Priority::kOrdered ||
+                 p.cmd->priority == Priority::kOrdered))
+              eligible = false;
+      }
+      if (slot.key != FenceKey{cmd.fence_epoch, cmd.seq}) return false;
+      if (eligible != transfer_eligible(slot)) return false;
+    }
   }
-  // SIMPLE: fenced only by earlier ORDERED data commands.
-  for (const auto& port : ports_)
-    for (const Slot& p : port->window)
-      if (precedes(*p.cmd, cmd) && is_data(p) &&
-          p.cmd->priority == Priority::kOrdered && !p.dma_done)
-        return false;
   return true;
 }
 
@@ -143,7 +181,7 @@ void StorageDevice::complete(Port& port, SlotIter it) {
   // Keep the command (and, through the aliased ownership, the originating
   // request) alive past the window erase: `done` points into that request.
   std::shared_ptr<Command> cmd = std::move(it->cmd);
-  port.window.erase(it);
+  port.spare.splice(port.spare.begin(), port.window, it);
   note_qd_change();
   queue_event_.notify_all();
   cmd->done->trigger();
@@ -216,7 +254,7 @@ sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
   cmd->persist_through = land > 0 ? through : 0;
   if (honor_barrier) ++epoch_;
   if (cmd->barrier && fault == nullptr) ++stats_.barrier_writes;
-  it->dma_done = true;
+  transfer_done(*it);
   queue_event_.notify_all();
 
   if (profile_.barrier_mode == BarrierMode::kTransactional) {
@@ -259,7 +297,7 @@ sim::Task StorageDevice::handle_read(Port& port, SlotIter it) {
   co_await port.host_bus.acquire();
   co_await sim_.delay(profile_.dma_4k);
   port.host_bus.release();
-  it->dma_done = true;
+  transfer_done(*it);
   queue_event_.notify_all();
   ++stats_.reads;
   complete(port, it);
@@ -269,7 +307,7 @@ sim::Task StorageDevice::handle_flush(Port& port, SlotIter it) {
   co_await gc_stall();
   co_await sim_.delay(profile_.cmd_overhead);
   co_await do_flush();
-  it->dma_done = true;
+  transfer_done(*it);
   ++stats_.flushes;
   complete(port, it);
 }

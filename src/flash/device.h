@@ -24,16 +24,27 @@
 // so commands on different ports overlap their transfers in simulated time.
 // Ordering state stays global: seq numbers, the writeback cache, the device
 // epoch and the flush horizon span all ports, and ORDERED/SIMPLE transfer
-// fencing compares seq across every port's window — submission-order
-// guarantees established by the host survive multi-port dispatch. With all
-// traffic on port 0 (single-queue hosts) behavior is bit-identical to the
-// former single-window device.
+// fencing compares (fence_epoch, seq) across every port's window —
+// submission-order guarantees established by the host survive multi-port
+// dispatch. With all traffic on port 0 (single-queue hosts) behavior is
+// bit-identical to the former single-window device.
+//
+// The fence is an index, not a window scan: two sorted vectors of
+// (fence_epoch, seq) keys hold every windowed data command that has not
+// finished its DMA transfer, and the ORDERED ones among them. A key enters
+// in try_submit and leaves when the command's transfer completes, so the
+// front key precedes a command exactly when some earlier un-transferred
+// data command (resp. ORDERED data command) exists, and eligibility is one
+// comparison. Each port's NCQ window is a std::list whose nodes are
+// recycled through a per-port spare list by splicing, so admitting a
+// command allocates nothing once the window has reached its peak depth.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flash/cache.h"
@@ -178,9 +189,18 @@ class StorageDevice {
   /// Restarts QD accounting (benchmarks call this after their setup phase).
   void reset_qd_accounting();
 
+  /// Test hook: re-derives every windowed command's transfer eligibility by
+  /// scanning all ports' windows and compares it with the fence index.
+  /// True when they agree for every command. O(window^2).
+  bool check_fence_index() const;
+
  private:
+  /// Transfer-fence precedence key: epoch-major, seq-minor.
+  using FenceKey = std::pair<std::uint64_t, std::uint64_t>;
+
   struct Slot {
     std::shared_ptr<Command> cmd;
+    FenceKey key{};
     bool started = false;
     bool dma_done = false;
   };
@@ -188,18 +208,22 @@ class StorageDevice {
 
   /// One hardware submission port: an NCQ window plus the channel's
   /// host-side DMA lane. Ports transfer concurrently; ordering decisions
-  /// (transfer_eligible) read every port's window by global seq.
+  /// (transfer_eligible) read the device-wide fence index.
   struct Port {
     explicit Port(sim::Simulator& sim) : host_bus(sim, 1) {}
     std::list<Slot> window;
+    /// Completed slots' nodes, spliced back into `window` on admission.
+    std::list<Slot> spare;
     sim::Semaphore host_bus;
     std::uint64_t submissions = 0;
   };
 
-  bool is_data(const Slot& s) const noexcept {
-    return s.cmd->op != OpCode::kFlush;
+  static bool is_data(const Command& c) noexcept {
+    return c.op != OpCode::kFlush;
   }
   bool transfer_eligible(const Slot& slot) const;
+  /// Marks `slot`'s DMA transfer done and drops its fence keys.
+  void transfer_done(Slot& slot);
   sim::Task wait_transfer_turn(SlotIter it);
   sim::Task controller_loop();
   sim::Task handle(Port& port, SlotIter it);
@@ -230,6 +254,10 @@ class StorageDevice {
   WritebackCache cache_;
 
   std::vector<std::unique_ptr<Port>> ports_;
+  /// Fence index over every port's window (ascending keys): data commands
+  /// whose transfer is not done, and the ORDERED ones among them.
+  std::vector<FenceKey> untransferred_;
+  std::vector<FenceKey> untransferred_ordered_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t epoch_ = 0;
   // Fault injection: per-class op ordinals advance only while a plan is

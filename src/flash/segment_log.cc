@@ -106,9 +106,9 @@ sim::Task SegmentLog::append(Lba lba, Version version) {
 }
 
 sim::Task SegmentLog::read(Lba lba) {
-  auto it = mapping_.find(lba);
-  if (it == mapping_.end()) co_return;  // unmapped: served as zeroes
-  co_await nand_.read(chip_of(it->second.slot));
+  const Mapping* m = mapping_.find(lba);
+  if (m == nullptr) co_return;  // unmapped: served as zeroes
+  co_await nand_.read(chip_of(m->slot));
 }
 
 void SegmentLog::mark_commit_point() { commit_point_ = history_.size(); }
@@ -136,9 +136,9 @@ std::unordered_map<Lba, Version> SegmentLog::durable_committed() const {
 }
 
 std::optional<Version> SegmentLog::mapped_version(Lba lba) const {
-  auto it = mapping_.find(lba);
-  if (it == mapping_.end()) return std::nullopt;
-  return it->second.version;
+  const Mapping* m = mapping_.find(lba);
+  if (m == nullptr) return std::nullopt;
+  return m->version;
 }
 
 void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
@@ -228,16 +228,16 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
       segments_[victim_slot / geom_.pages_per_segment()]
           .slots[victim_slot % geom_.pages_per_segment()]
           .lba;
-  auto it = mapping_.find(lba);
-  if (it == mapping_.end() || it->second.slot != victim_slot) {
+  Mapping* m = mapping_.find(lba);
+  if (m == nullptr || m->slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.
     inflight.release();
     co_return;
   }
   // Synchronous slot assignment keeps log order consistent with mapping
   // updates (no suspension between the check above and the allocation).
-  const Mapping src = it->second;
-  const Alloc alloc = allocate_slot(lba, src.version, it->second);
+  const Mapping src = *m;
+  const Alloc alloc = allocate_slot(lba, src.version, *m);
   // Only a relocation of already-programmed content is redundant for
   // recovery; copying a page whose own program is still in flight must
   // gate the prefix like any other append.

@@ -9,6 +9,10 @@
 // A background garbage collector relocates valid pages out of the victim
 // segment and erases it; GC contends with foreground traffic on the chips,
 // producing the long latency tails of Table 1.
+//
+// The LBA -> (slot, version, history index) map is a flat LbaTable
+// (lba_table.h): chunked, directly indexed, allocated per 1024-LBA chunk on
+// first append, so the per-IO lookups in reserve/read/GC allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "flash/geometry.h"
+#include "flash/lba_table.h"
 #include "flash/nand.h"
 #include "flash/types.h"
 #include "sim/rng.h"
@@ -185,7 +190,9 @@ class SegmentLog {
   std::deque<std::uint32_t> free_segments_;
   std::uint32_t active_segment_;
 
-  std::unordered_map<Lba, Mapping> mapping_;
+  /// LBA -> current mapping; entries are created by the first append of an
+  /// LBA and never erased (an overwrite remaps in place).
+  LbaTable<Mapping> mapping_;
 
   std::vector<AppendRecord> history_;  // append order = persist order
   std::uint64_t prefix_ = 0;           // programmed prefix watermark

@@ -493,8 +493,7 @@ sim::Task Filesystem::wait_file_writebacks(Inode& f,
   // syscall acks durability.
   bool swept = false;
   bool swept_failed = false;
-  std::vector<blk::RequestPtr> wb =
-      cache_.writebacks_of(f.ino, &swept, &swept_failed);
+  cache_.writebacks_of(f.ino, scratch_carriers_, &swept, &swept_failed);
   if (swept_failed) ++f.wb_err_seq;  // pages were redirtied by the sweep
   if (swept) {
     // Completed carriers were dropped before we could wait on them; their
@@ -503,11 +502,15 @@ sim::Task Filesystem::wait_file_writebacks(Inode& f,
     f.persist_floor =
         std::max(f.persist_floor, blk_.device().cache().next_order());
   }
-  for (blk::RequestPtr& r : wb) {
-    if (std::find(reqs.begin(), reqs.end(), r) != reqs.end()) continue;
-    co_await r->completion.wait();
-    reqs.push_back(std::move(r));
-  }
+  // Fold the foreign carriers into `reqs` before the first suspension (the
+  // scratch buffer is shared), then wait them in the same order.
+  const std::size_t first_foreign = reqs.size();
+  for (blk::RequestPtr& r : scratch_carriers_)
+    if (std::find(reqs.begin(), reqs.end(), r) == reqs.end())
+      reqs.push_back(std::move(r));
+  scratch_carriers_.clear();
+  for (std::size_t i = first_foreign; i < reqs.size(); ++i)
+    co_await reqs[i]->completion.wait();
 }
 
 sim::TaskOf<FsStatus> Filesystem::commit_metadata(Inode& f,
@@ -826,8 +829,8 @@ sim::TaskOf<FsStatus> Filesystem::dsync(Inode& f) {
   // must transfer before the flush below, or their (covered) data sits in
   // the volatile cache past this call's durable return.
   bool swept_failed = false;
-  std::vector<blk::RequestPtr> wb =
-      cache_.writebacks_of(f.ino, nullptr, &swept_failed);
+  std::vector<blk::RequestPtr> wb;
+  cache_.writebacks_of(f.ino, wb, nullptr, &swept_failed);
   if (swept_failed) ++f.wb_err_seq;
   for (const blk::RequestPtr& r : wb) co_await r->completion.wait();
   note_writeback_failures(f, wb);

@@ -248,11 +248,13 @@ class Filesystem {
   bool degraded_ = false;
 
   /// Scratch buffers reused by the suspension-free helpers (submit_data,
-  /// journal_overwrites). The simulator is single-threaded and these
-  /// helpers never co_await, so sharing them across concurrent syscalls is
-  /// safe and keeps the per-fsync heap traffic at zero.
+  /// journal_overwrites, the carrier collection in wait_file_writebacks).
+  /// The simulator is single-threaded and these helpers never co_await
+  /// while a buffer is filled, so sharing them across concurrent syscalls
+  /// is safe and keeps the per-fsync heap traffic at zero.
   std::vector<PageCache::PageKey> scratch_keys_;
   std::vector<blk::Block> scratch_blocks_;
+  std::vector<blk::RequestPtr> scratch_carriers_;
 };
 
 }  // namespace bio::fs

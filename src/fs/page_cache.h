@@ -7,16 +7,16 @@
 // watermarks, which is what the buffered-write scenarios (Fig 1 "buffered",
 // Fig 9 "P") exercise.
 //
-// Dirty and writeback pages are indexed per inode (ordered by page) on top
-// of the flat page map, so fsync's dirty scan is O(dirty-of-file) and
-// pdflush's batch collection is O(limit) — not O(total cached pages). The
-// global iteration order (ascending ino, then page) matches the old
-// full-scan behaviour exactly.
+// Storage is flat: one table per inode, indexed by ino, holding a dense
+// page array indexed by page (a write's page is bounded by the file's
+// extent, which Filesystem::write checks) plus two sorted page vectors —
+// the file's dirty pages and its pages with a writeback carrier attached.
+// fsync's dirty scan is O(dirty-of-file); pdflush's batch collection walks
+// the inode tables in ino order and stops after `limit` pages. The global
+// iteration order is ascending ino, then page.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "blk/request.h"
@@ -41,6 +41,8 @@ class PageCache {
     /// True if the newest buffered write overwrote already-allocated data
     /// (OptFS journals these selectively).
     bool overwrite = false;
+    /// True once the page is in the cache (its table slot is in use).
+    bool cached = false;
     /// In-flight write carrying a version of this page: the newest one if
     /// !dirty, an older one if the page was redirtied while under
     /// writeback. Kept until completion so submission paths can enforce
@@ -59,16 +61,17 @@ class PageCache {
   void dirty_pages_of(std::uint32_t ino, std::vector<PageKey>& out) const;
   std::vector<PageKey> dirty_pages_of(std::uint32_t ino) const;
 
-  /// In-flight writeback carriers of `ino`'s pages; lazily sweeps carriers
-  /// that already completed (and reports the sweep via `swept_completed`,
-  /// so durability paths can raise the inode's persist floor). A swept
-  /// carrier that completed with an IO failure redirties its pages (the
-  /// buffered content is still here — versions are identity, not bytes)
-  /// and is reported via `swept_failed`, so the caller can advance the
-  /// inode's wb_err_seq.
-  std::vector<blk::RequestPtr> writebacks_of(std::uint32_t ino,
-                                             bool* swept_completed = nullptr,
-                                             bool* swept_failed = nullptr);
+  /// In-flight writeback carriers of `ino`'s pages, in page order (written
+  /// to `out`, which is cleared first — callers reuse scratch buffers);
+  /// lazily sweeps carriers that already completed (and reports the sweep
+  /// via `swept_completed`, so durability paths can raise the inode's
+  /// persist floor). A swept carrier that completed with an IO failure
+  /// redirties its pages (the buffered content is still here — versions
+  /// are identity, not bytes) and is reported via `swept_failed`, so the
+  /// caller can advance the inode's wb_err_seq.
+  void writebacks_of(std::uint32_t ino, std::vector<blk::RequestPtr>& out,
+                     bool* swept_completed = nullptr,
+                     bool* swept_failed = nullptr);
 
   /// Marks `key` as under writeback by `req` (clears dirty).
   void begin_writeback(const PageKey& key, blk::RequestPtr req);
@@ -87,45 +90,48 @@ class PageCache {
   /// page's content travels inside the journal descriptor).
   void mark_clean(const PageKey& key);
 
-  /// Drops every page of a deleted file.
+  /// Drops every page of a deleted file. The inode's table keeps its
+  /// capacity for the next file that reuses the ino.
   void drop_file(std::uint32_t ino);
 
   const PageState* find(std::uint32_t ino, std::uint32_t page) const;
 
   std::size_t dirty_count() const noexcept { return dirty_count_; }
-  std::size_t total_pages() const noexcept { return pages_.size(); }
+  std::size_t total_pages() const noexcept { return total_pages_; }
 
   /// Up to `limit` dirty pages (global), in (ino, page) order — pdflush's
-  /// view. O(limit), via the dirty index.
+  /// view. O(inodes + limit).
   void all_dirty(std::size_t limit, std::vector<PageKey>& out) const;
   std::vector<PageKey> all_dirty(std::size_t limit) const;
 
   /// Notified whenever a write dirties a page (pdflush wake-up).
   sim::Notify& dirtied() noexcept { return dirtied_; }
 
-  /// Exhaustively cross-checks the dirty/writeback indexes against the page
-  /// map (test hook; O(total pages)).
+  /// Exhaustively cross-checks the dirty/writeback lists and counters
+  /// against the page tables (test hook; O(total table slots)).
   bool check_index_invariants() const;
 
  private:
-  using InoIndex = std::map<std::uint32_t, std::set<std::uint32_t>>;
+  /// One inode's pages.
+  struct FileTable {
+    /// Indexed by page; slots with !cached are holes.
+    std::vector<PageState> pages;
+    /// Pages with dirty == true, ascending.
+    std::vector<std::uint32_t> dirty;
+    /// Pages with a writeback carrier attached (dirty or not), ascending.
+    std::vector<std::uint32_t> wb;
+  };
 
-  static void index_insert(InoIndex& idx, const PageKey& key) {
-    idx[key.ino].insert(key.page);
-  }
-  static void index_erase(InoIndex& idx, const PageKey& key) {
-    auto it = idx.find(key.ino);
-    if (it == idx.end()) return;
-    it->second.erase(key.page);
-    if (it->second.empty()) idx.erase(it);
-  }
+  /// Page `key` must be cached.
+  PageState& page_at(const PageKey& key);
+  /// Sets the dirty bit of a cached page and lists it.
+  void set_dirty(FileTable& t, std::uint32_t page);
+  /// Clears the dirty bit of a cached page and unlists it.
+  void clear_dirty(FileTable& t, std::uint32_t page);
 
   sim::Simulator* sim_;
-  std::map<PageKey, PageState> pages_;
-  /// ino -> dirty pages (key.dirty == true exactly when indexed here).
-  InoIndex dirty_index_;
-  /// ino -> pages with a writeback carrier attached (dirty or not).
-  InoIndex wb_index_;
+  std::vector<FileTable> files_;  // indexed by ino
+  std::size_t total_pages_ = 0;
   std::size_t dirty_count_ = 0;
   sim::Notify dirtied_;
 };

@@ -2,6 +2,9 @@
 // epochs, FUA/flush behaviour, per-mode durability and queue accounting.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "flash/device.h"
 #include "flash_test_util.h"
 #include "sim/simulator.h"
@@ -15,6 +18,7 @@ using sim::Task;
 using testutil::make_flush;
 using testutil::make_read;
 using testutil::make_write;
+using testutil::one_block;
 using testutil::submit_retry;
 using testutil::test_profile;
 
@@ -413,6 +417,80 @@ TEST(DeviceTest, FlushOnOnePortDrainsAllChannels) {
   sim.spawn("t", body());
   sim.run();
   EXPECT_TRUE(flushed);
+}
+
+TEST(DeviceTest, FenceIndexAgreesWithWindowScanUnderMultiPortTraffic) {
+  // Four submitters, one per port, mix reads, writes, barrier writes and
+  // flushes at every priority; fence epochs advance on barriers like a
+  // fenced multi-queue host's, so commands reach the device out of
+  // (epoch, seq) order across ports. After every submission and on every
+  // queue transition the index must give each windowed command the same
+  // eligibility as the window scan.
+  Simulator sim;
+  DeviceProfile profile = test_profile(BarrierMode::kInOrderRecovery);
+  profile.geometry.channels = 4;
+  StorageDevice dev(sim, profile);
+  ASSERT_EQ(dev.port_count(), 4u);
+  dev.start();
+  std::mt19937_64 rng(4);
+  std::uint64_t host_epoch = 0;
+  Version next_version = 1;
+  std::uint64_t checks = 0;
+  std::uint64_t disagreements = 0;
+  std::uint32_t max_depth = 0;
+  auto check = [&] {
+    ++checks;
+    if (!dev.check_fence_index()) ++disagreements;
+    max_depth = std::max(max_depth, dev.queue_depth());
+  };
+  auto monitor = [&]() -> Task {
+    for (;;) {
+      co_await dev.queue_activity().wait();
+      check();
+    }
+  };
+  std::uint32_t completed = 0;
+  auto submitter = [&](std::uint32_t port) -> Task {
+    std::vector<testutil::Submission> subs;
+    for (int i = 0; i < 150; ++i) {
+      const auto dice = static_cast<int>(rng() % 100);
+      const auto priority = static_cast<Priority>(rng() % 3);
+      testutil::Submission s;
+      if (dice < 50) {
+        s = make_write(sim, one_block(rng() % 64, next_version++), priority);
+      } else if (dice < 65) {
+        s = make_write(sim, one_block(rng() % 64, next_version++),
+                       Priority::kOrdered, /*barrier=*/true);
+      } else if (dice < 92) {
+        s = make_read(sim, rng() % 64);
+        s.cmd->priority = priority;
+      } else {
+        s = make_flush(sim, priority);
+      }
+      s.cmd->port = port;
+      // Occasionally a stale stamp from before the last barrier: the index
+      // must order by (epoch, seq) whatever the submission order.
+      s.cmd->fence_epoch =
+          host_epoch > 0 && rng() % 8 == 0 ? host_epoch - 1 : host_epoch;
+      if (s.cmd->barrier) ++host_epoch;
+      co_await submit_retry(sim, dev, s.cmd);
+      check();
+      subs.push_back(std::move(s));
+      if (rng() % 4 == 0)
+        co_await sim.delay(static_cast<sim::SimTime>(rng() % 40) * 1_us);
+    }
+    for (const testutil::Submission& s : subs) co_await s.done->wait();
+    completed += static_cast<std::uint32_t>(subs.size());
+  };
+  sim.spawn("monitor", monitor());
+  for (std::uint32_t port = 0; port < 4; ++port)
+    sim.spawn("submitter", submitter(port));
+  sim.run();
+  EXPECT_EQ(completed, 600u) << "every command must finish (no fence stall)";
+  EXPECT_EQ(disagreements, 0u) << "of " << checks << " checks";
+  EXPECT_GT(checks, 1000u);
+  EXPECT_GE(max_depth, 8u) << "the run must keep several windows busy";
+  EXPECT_EQ(dev.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -29,6 +29,14 @@ observability machinery sit disabled on the hot path during perf runs, and
 delay or extra request when no fault plan is installed shifts events/sim_ios
 and fails here, long before it would move a noisy ns/io ratio.
 
+Heap allocations are deterministic the same way: global_allocs counts
+operator-new calls of a fixed-seed run, so at equal length (same ops) the
+per-op count may not grow. The guard fails a scenario whose
+global_allocs_per_op exceeds the baseline's by more than 10% + 0.5 (the
+additive slack absorbs one-off allocations in scenarios near zero). Smoke
+and full runs amortize set-up allocations over different op counts, so the
+gate only compares runs of equal length, like the sim-fingerprint gate.
+
 Usage:
   tools/bench_delta.py <baseline.json> <fresh.json> [<fresh2.json> ...]
                        [--threshold 1.25] [--warn-only]
@@ -45,6 +53,22 @@ import sys
 # scenario length (ops), so any drift means the simulated IO path changed —
 # e.g. a "disabled" fault hook that still costs sim time.
 SIM_KEYS = ("ops", "sim_ios", "requests", "events", "sim_ops_per_sec")
+
+# Allocation gate: fresh global_allocs_per_op may exceed the baseline's by
+# at most ALLOC_REL_SLACK (relative) + ALLOC_ABS_SLACK (absolute).
+ALLOC_REL_SLACK = 0.10
+ALLOC_ABS_SLACK = 0.5
+
+
+def alloc_regression(fresh, base):
+    """Message if fresh's allocs/op exceed base's slack at equal ops."""
+    fa, ba = fresh.get("global_allocs_per_op"), base.get("global_allocs_per_op")
+    if fa is None or ba is None or fresh.get("ops") != base.get("ops"):
+        return None
+    limit = ba * (1 + ALLOC_REL_SLACK) + ALLOC_ABS_SLACK
+    if fa <= limit:
+        return None
+    return f"{fa:.3f} allocs/op vs baseline {ba:.3f} (limit {limit:.3f})"
 
 
 def sim_fingerprint(s):
@@ -118,6 +142,20 @@ def main():
                     f"ops ({'; '.join(drift)})")
     for msg in sim_broken:
         print(f"  sim-figure drift: {msg}")
+
+    # Allocation gate at equal length. Every fresh run is checked (not just
+    # the fastest): the count is deterministic, so any run over the limit
+    # is a real regression.
+    alloc_broken = []
+    for name, b in sorted(base.items()):
+        for run in runs:
+            s = run.get(name)
+            msg = alloc_regression(s, b) if s is not None else None
+            if msg:
+                alloc_broken.append(f"{name}: {msg}")
+                break
+    for msg in alloc_broken:
+        print(f"  allocation regression: {msg}")
 
     ratios = {}
     for name, s in fresh.items():
@@ -210,6 +248,11 @@ def main():
     if mq_broken:
         problems.append("multi-queue scaling lost its channel-parallel win: "
                         + "; ".join(mq_broken))
+    if alloc_broken:
+        problems.append(
+            f"{len(alloc_broken)} scenario(s) allocate more per op than the "
+            f"baseline at equal ops (>{ALLOC_REL_SLACK * 100:.0f}% + "
+            f"{ALLOC_ABS_SLACK}): " + "; ".join(alloc_broken))
     if sim_broken:
         problems.append(
             f"{len(sim_broken)} scenario(s) with non-deterministic or "
