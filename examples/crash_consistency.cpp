@@ -1,295 +1,223 @@
 // Example / CLI: the full-stack crash-recovery sweeps.
 //
-// For each IO stack, run many randomized api::Vfs workloads (with
-// unlink/rename namespace churn), cut power at random simulated instants,
-// recover the durable image through fs::Recovery, remount a fresh stack
-// over the recovered state, and verify the stack's crash-consistency
-// contract (chk::run_crash_sweep):
+// Every table below is chk::run_sweep over one chk::SweepSpec: a workload
+// runs on a fresh node, power is cut at a random simulated instant, each
+// volume's durable image is recovered through fs::Recovery and remounted,
+// and one oracle verifies the stack's crash-consistency contract
+// (src/chk/crash_check.h has the per-stack table). Per stack:
 //
-//   * EXT4-DR / BFS-DR : an fsync that returned implies durable data,
-//   * every stack      : per-file epoch-prefix ordering of synced writes
-//                        + recovered-namespace consistency (durable
-//                        renames/unlinks stick, nothing fabricated),
-//   * OptFS            : osync delayed durability (prefix now, everything
-//                        after the device quiesces),
-//   * EXT4-OD          : mounted nobarrier on an orderless device — it
-//                        *claims* the EXT4-DR contract and the sweep is
-//                        expected to catch it violating (Fig 1).
+//   * plain  — the single-writer workload (unlink/rename churn);
+//   * conc   — N writers sharing files through independent fds, the
+//              cross-writer contract of DESIGN.md §9;
+//   * ring   — the same writers through api::Ring linked chains, plus the
+//              linked-chain contract of DESIGN.md §10;
+//   * fault  — the single writer under a seed-derived flash::FaultPlan
+//              (transient/hard/torn faults), DESIGN.md §11;
+//   * q4     — conc and fault again at nr_queues=4 (DESIGN.md §14);
+//   * node   — BFS-DR + EXT4-DR volumes behind one Vfs mount table, one
+//              cut, per-volume verdicts.
 //
-// The concurrent sweep (chk::run_concurrent_crash_sweep) runs the same
-// per-kind verdicts with N writer coroutines sharing files through
-// independent fds — the cross-writer contract of DESIGN.md §9; a final
-// sweep cuts power on a heterogeneous two-volume node (BFS-DR + EXT4-DR
-// behind one Vfs mount table) and verifies each volume's contract
-// independently.
+// EXT4-OD (nobarrier on an orderless device) claims the EXT4-DR contract
+// and every sweep is expected to catch it violating (Fig 1). A negative
+// control re-runs a short fault sweep with
+// BlockLayer::set_swallow_io_errors_for_test: the oracle must catch it.
 //
-// The ring sweep (chk::run_ring_crash_sweep) drives the same writers
-// through api::Ring batched submissions with IOSQE_IO_LINK-style chains
-// (write -> barrier -> write) and adds the linked-chain contract of
-// DESIGN.md §10 on top of the concurrent verdicts.
+// Reproducing a failed point: every failure prints its seed, crash instant,
+// point index and a `--repro` line; `--repro <spec>` replays just that
+// case (chk::parse_repro → chk::run_check) and exits 1 if it fails, 0 if
+// it is clean. Specs:
+//   --repro <stack>[:q<N>]:<base>:<point>         single-writer point
+//   --repro conc:<stack>[:q<N>]:<base>:<point>    concurrent point
+//   --repro ring:<stack>[:q<N>]:<base>:<point>    ring point
+//   --repro fault:<stack>[:q<N>]:<base>:<point>   fault-injection point
+//   --repro node[:<stack>+<stack>...][:q<N>]:<base>:<point>
+//                                                 multi-volume point; the
+//                                                 bare form is BFS-DR+EXT4-DR
+// `q<N>` carries the block layer's queue count. Malformed specs (unknown
+// prefix or stack, non-numeric or empty fields, wrong arity, q0, qx, q65,
+// point > 1000000, a one-stack node) exit 2 with a usage message. A line
+// replays with default options; a library sweep with custom options
+// replays through chk::run_check with its own spec and the coordinates in
+// CrashSweepResult::failures.
 //
-// The fault sweep (chk::run_fault_crash_sweep) installs a seed-derived
-// flash::FaultPlan on the device (transient/hard/torn faults), composes it
-// with the power cut and verifies the fault-mode oracle of DESIGN.md §11:
-// acked durability survives faults, torn journal writes never replay as
-// committed, degraded (errors=remount-ro) volumes recover read-consistent.
-// A deliberate negative control re-runs a short sweep with
-// BlockLayer::set_swallow_io_errors_for_test — the sweep must catch the
-// injected bug deterministically.
-//
-// Reproducing a failed point: every sweep failure prints its seed, crash
-// instant, point index and an exact `--repro` spec; `--repro <spec>`
-// replays just that case with full violation output. Specs:
-//   --repro <stack>:<base_seed>:<point>        single-writer sweep point
-//   --repro conc:<stack>:<base_seed>:<point>   concurrent sweep point
-//   --repro ring:<stack>:<base_seed>:<point>   ring sweep point
-//   --repro fault:<stack>:<plan-seed>:<point>  fault-injection sweep point
-//   --repro node:<base_seed>:<point>           multi-volume sweep point
-// Every form takes an optional `q<N>` segment after the stack (after
-// `node` for the multi-volume form) carrying the block layer's nr_queues —
-// multi-queue sweep failures print it and replay with the same queue
-// count: conc:BFS-DR:q4:<base>:<point>, node:q4:<base>:<point>. Malformed
-// specs (unknown prefix/stack, non-numeric or empty fields, wrong arity,
-// bad queue counts like q0 or qx) are rejected with a usage message and
-// exit code 2.
-// The CLI replays with DEFAULT sweep options (which is what the CLI
-// sweeps run); a failure from a library sweep with custom options must be
-// replayed through run_crash_check / run_concurrent_crash_check using the
-// same options and the seed/crash pair from CrashSweepResult::failures.
-//
-// Parallelism: sweeps fan their points across host threads
-// (sim::HostPool). `--jobs N` picks the thread count (default: the
-// BIO_SWEEP_JOBS env var, else hardware concurrency; `--jobs 1` forces the
-// legacy serial path). Results are bit-identical at any jobs value —
-// deterministic seed partitioning plus canonical-order merging, DESIGN.md
-// §13. `--parallel-smoke` runs a short all-flavour parallel sweep (the CI
-// TSan leg's target).
+// Parallelism: `--jobs N` (N in [1, 64]) picks the host threads a sweep
+// fans its points across (default: the BIO_SWEEP_JOBS env var, else
+// hardware concurrency). Results are bit-identical at any jobs value
+// (DESIGN.md §13). `--points N` (N in [1, 1000000]) sets the points per
+// sweep; a malformed count exits 2. `--parallel-smoke` runs a short
+// all-flavour parallel sweep (the CI TSan leg's target).
 //
 // Build: cmake --build build && ./build/examples/crash_consistency
 // CI:    ./build/examples/crash_consistency --smoke --jobs 8
+#include <charconv>
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "chk/crash_check.h"
 #include "sim/host_pool.h"
 
 using namespace bio;
+using core::StackKind;
 
 namespace {
 
-bool parse_kind(const std::string& name, core::StackKind& out) {
-  for (core::StackKind k :
-       {core::StackKind::kExt4DR, core::StackKind::kExt4OD,
-        core::StackKind::kBfsDR, core::StackKind::kBfsOD,
-        core::StackKind::kOptFs}) {
-    if (name == core::to_string(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
+/// Strict decimal option value in [1, max]: a mis-parsed count would run a
+/// different configuration than the one asked for.
+bool parse_count(std::string_view s, int max, int& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc() && end == s.data() + s.size() && out >= 1 &&
+         out <= max;
 }
 
-void print_violations(const std::vector<std::string>& violations) {
-  for (const std::string& v : violations) std::printf("  ! %s\n", v.c_str());
-  if (violations.empty()) std::printf("  (no violations — case is clean)\n");
+std::string strf(const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_end(ap);
+  return buf;
 }
 
-/// Strict decimal parse: the whole field must be digits (no sign, no
-/// trailing junk, not empty). A silent atoi-style zero would "replay" a
-/// different case than the one that failed.
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 19) return false;
-  out = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
+chk::SweepSpec plain(StackKind kind) { return {.volumes = {kind}}; }
+chk::SweepSpec conc(StackKind kind, std::uint32_t nr_queues = 1) {
+  return {.volumes = {kind},
+          .workload = wl::ConcurrentWritersParams{},
+          .nr_queues = nr_queues};
 }
-
-/// Strict `q<N>` queue-count field: 'q' + decimal, N in [1, 64]. q0 (a
-/// block layer needs at least one queue) and junk like "qx" are malformed.
-bool parse_queues(const std::string& s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (s.size() < 2 || s[0] != 'q' || !parse_u64(s.substr(1), v)) return false;
-  if (v < 1 || v > 64) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
+chk::SweepSpec ring(StackKind kind) {
+  return {.volumes = {kind}, .workload = wl::RingWorkloadParams{}};
+}
+chk::SweepSpec fault(StackKind kind, std::uint32_t nr_queues = 1) {
+  return {.volumes = {kind},
+          .nr_queues = nr_queues,
+          .faults = chk::FaultSpec{}};
 }
 
 /// Replays one sweep point from a `--repro` spec; returns the process exit
-/// code (0 = the case is clean now, 2 = malformed spec).
-int run_repro(const std::string& spec) {
-  // Split on ':' — [conc|ring|fault:]<stack>[:q<N>]:<base>:<point> or
-  // node[:q<N>]:<base>:<point>.
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t next = spec.find(':', pos);
-    parts.push_back(spec.substr(pos, next - pos));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  auto fail = [&] {
+/// code (0 = the case is clean now, 1 = it fails, 2 = malformed spec).
+int run_repro(const char* text) {
+  const std::optional<chk::Repro> r = chk::parse_repro(text);
+  if (!r) {
     std::fprintf(stderr,
                  "bad --repro spec '%s'\nusage: --repro "
-                 "<stack>[:q<N>]:<base>:<point>"
-                 " | conc:<stack>[:q<N>]:<base>:<point>"
-                 " | ring:<stack>[:q<N>]:<base>:<point>"
-                 " | fault:<stack>[:q<N>]:<plan-seed>:<point>"
-                 " | node[:q<N>]:<base>:<point>\n"
+                 "[conc:|ring:|fault:]<stack>[:q<N>]:<base>:<point>"
+                 " | node[:<stack>+<stack>...][:q<N>]:<base>:<point>\n"
                  "       (stack: EXT4-DR EXT4-OD BFS-DR BFS-OD OptFS; "
-                 "base/point: decimal; qN: block-layer queues in [1, 64])\n",
-                 spec.c_str());
+                 "base/point: decimal, point <= %d; qN: block-layer "
+                 "queues in [1, 64])\n",
+                 text, chk::kMaxReproPoint);
     return 2;
-  };
-  if (parts.size() < 3 || parts.size() > 5) return fail();
-  const bool conc = parts[0] == "conc";
-  const bool ring = parts[0] == "ring";
-  const bool fault = parts[0] == "fault";
-  const bool node = parts[0] == "node";
-  const bool prefixed = conc || ring || fault;
-
-  // Consume the form tag and stack name, then the optional q<N> segment;
-  // exactly <base>:<point> must remain.
-  std::size_t idx = 0;
-  core::StackKind kind{};
-  if (node) {
-    idx = 1;
-  } else {
-    if (prefixed) idx = 1;
-    if (idx >= parts.size() || !parse_kind(parts[idx], kind)) return fail();
-    ++idx;
   }
-  std::uint32_t nr_queues = 1;
-  if (parts.size() - idx == 3) {
-    if (!parse_queues(parts[idx], nr_queues)) return fail();
-    ++idx;
+  const std::uint64_t seed =
+      r->base_seed + static_cast<std::uint64_t>(r->point);
+  const sim::SimTime crash_at = chk::sweep_crash_at(r->base_seed, r->point);
+  std::printf("replaying %s: seed=%llu crash=%lluns queues=%u\n", text,
+              (unsigned long long)seed, (unsigned long long)crash_at,
+              r->spec.nr_queues);
+  const chk::CrashCheckResult res = chk::run_check(r->spec, seed, crash_at);
+  for (std::size_t i = 0; i < res.volumes.size(); ++i) {
+    const chk::CrashCheckResult& v = res.volumes[i];
+    std::printf(
+        "v%zu %s: quiesced=%d files=%llu txns replayed=%llu discarded=%llu "
+        "clean=%d wraps=%llu\n",
+        i, core::to_string(r->spec.volumes[i]), (int)v.quiesced,
+        (unsigned long long)v.files_recovered,
+        (unsigned long long)v.txns_replayed,
+        (unsigned long long)v.txns_discarded, (int)v.recovery_clean,
+        (unsigned long long)v.journal_wraps);
+    if (r->spec.faults)
+      std::printf("  faults=%llu retries=%llu io-failures=%llu "
+                  "syncs-failed=%llu degraded=%d\n",
+                  (unsigned long long)v.faults_injected,
+                  (unsigned long long)v.io_retries,
+                  (unsigned long long)v.io_failures,
+                  (unsigned long long)v.syncs_failed, (int)v.volume_degraded);
+    for (const std::string& s : v.violations)
+      std::printf("  ! %s\n", s.c_str());
   }
-  if (parts.size() - idx != 2) return fail();
-
-  std::uint64_t base = 0;
-  std::uint64_t point_u = 0;
-  if (!parse_u64(parts[idx], base) || !parse_u64(parts[idx + 1], point_u) ||
-      point_u > 1'000'000) {
-    return fail();
-  }
-  const int point = static_cast<int>(point_u);
-  const std::uint64_t seed = base + point_u;
-  const sim::SimTime crash_at = chk::sweep_crash_at(base, point);
-
-  if (node) {
-    const std::vector<core::StackKind> kinds = {core::StackKind::kBfsDR,
-                                                core::StackKind::kExt4DR};
-    chk::CrashCheckOptions opt;
-    opt.nr_queues = nr_queues;
-    std::printf("replaying node point %d: seed=%llu crash=%lluns queues=%u\n",
-                point, (unsigned long long)seed, (unsigned long long)crash_at,
-                nr_queues);
-    const chk::MultiVolumeCrashResult r =
-        chk::run_multi_volume_crash_check(kinds, seed, crash_at, opt);
-    for (std::size_t v = 0; v < r.volumes.size(); ++v) {
-      std::printf("volume %zu (%s):\n", v, core::to_string(kinds[v]));
-      print_violations(r.volumes[v].violations);
-    }
-    return r.ok() ? 0 : 1;
-  }
-
-  std::printf("replaying %s%s point %d: seed=%llu crash=%lluns queues=%u\n",
-              conc    ? "concurrent "
-              : ring  ? "ring "
-              : fault ? "fault "
-                      : "",
-              core::to_string(kind), point, (unsigned long long)seed,
-              (unsigned long long)crash_at, nr_queues);
-  chk::ConcurrentCrashOptions conc_opt;
-  conc_opt.nr_queues = nr_queues;
-  chk::RingCrashOptions ring_opt;
-  ring_opt.nr_queues = nr_queues;
-  chk::FaultCrashOptions fault_opt;
-  fault_opt.wl.nr_queues = nr_queues;
-  chk::CrashCheckOptions plain_opt;
-  plain_opt.nr_queues = nr_queues;
-  const chk::CrashCheckResult r =
-      conc ? chk::run_concurrent_crash_check(kind, seed, crash_at, conc_opt)
-      : ring  ? chk::run_ring_crash_check(kind, seed, crash_at, ring_opt)
-      : fault ? chk::run_fault_crash_check(kind, seed, crash_at, fault_opt)
-              : chk::run_crash_check(kind, seed, crash_at, plain_opt);
-  std::printf(
-      "  quiesced=%d files=%u txns replayed=%u discarded=%u clean=%d "
-      "wraps=%llu\n",
-      (int)r.quiesced, r.files_recovered, r.txns_replayed, r.txns_discarded,
-      (int)r.recovery_clean, (unsigned long long)r.journal_wraps);
-  if (fault)
-    std::printf("  faults=%llu retries=%llu io-failures=%llu syncs-failed=%u "
-                "degraded=%d\n",
-                (unsigned long long)r.faults_injected,
-                (unsigned long long)r.io_retries,
-                (unsigned long long)r.io_failures, r.syncs_failed,
-                (int)r.volume_degraded);
-  print_violations(r.violations);
-  return r.ok() ? 0 : 1;
+  if (res.ok()) std::printf("  (no violations — case is clean)\n");
+  return res.ok() ? 0 : 1;
 }
 
-/// The CI TSan leg's target: a short sweep through every flavour's
-/// parallel driver (single-writer, concurrent, ring, fault — including the
-/// swallowed-EIO negative control — and the multi-volume node), sized so
-/// the race surface is fully exercised without a full smoke's wall clock.
-/// Verdict-only: the full contract expectations (EXT4-OD must break, ...)
-/// are --smoke's job; here a flavour fails only if a clean stack violates.
+/// The CI TSan leg's target: a short sweep through every flavour (the
+/// swallowed-EIO negative control and the node included), sized so the
+/// race surface is fully exercised without a full smoke's wall clock.
+/// Verdict-only: a flavour fails only if a clean stack violates.
 int run_parallel_smoke(int jobs) {
   const int n = 24;  // points per flavour; > any sane jobs value
   const auto t0 = std::chrono::steady_clock::now();
+  chk::SweepSpec swallow = fault(StackKind::kExt4DR);
+  swallow.faults->swallow_io_errors = true;
+  const struct {
+    const char* name;
+    chk::SweepSpec spec;
+    int points;
+    bool must_fail;
+  } runs[] = {
+      {"sweep", plain(StackKind::kBfsDR), n, false},
+      {"conc", conc(StackKind::kExt4DR), n, false},
+      {"ring", ring(StackKind::kBfsOD), n, false},
+      {"fault", fault(StackKind::kOptFs), n, false},
+      {"neg-control", swallow, 20, true},
+      {"node",
+       {.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}},
+       n,
+       false},
+      // Multi-queue: the same race surface plus the cross-queue epoch
+      // fence (nr_queues=4 over the checker's 2-channel device).
+      {"conc-q4", conc(StackKind::kBfsDR, 4), n, false},
+      {"fault-q4", fault(StackKind::kBfsOD, 4), n, false},
+  };
   bool ok = true;
-
-  const chk::CrashSweepResult sw =
-      chk::run_crash_sweep(core::StackKind::kBfsDR, n, 1, {}, jobs);
-  ok = ok && sw.ok();
-  const chk::CrashSweepResult conc =
-      chk::run_concurrent_crash_sweep(core::StackKind::kExt4DR, n, 1, {}, jobs);
-  ok = ok && conc.ok();
-  const chk::CrashSweepResult ring =
-      chk::run_ring_crash_sweep(core::StackKind::kBfsOD, n, 1, {}, jobs);
-  ok = ok && ring.ok();
-  const chk::CrashSweepResult fault =
-      chk::run_fault_crash_sweep(core::StackKind::kOptFs, n, 1, {}, jobs);
-  ok = ok && fault.ok();
-  chk::FaultCrashOptions swallow;
-  swallow.swallow_io_errors = true;
-  const chk::CrashSweepResult neg = chk::run_fault_crash_sweep(
-      core::StackKind::kExt4DR, 20, 1, swallow, jobs);
-  ok = ok && neg.failed_points > 0;  // the injected bug must be caught
-  const chk::MultiVolumeSweepResult mv = chk::run_multi_volume_crash_sweep(
-      {core::StackKind::kBfsDR, core::StackKind::kExt4DR}, n, 1, {}, jobs);
-  ok = ok && mv.ok();
-  // Multi-queue flavours: same race surface plus the cross-queue epoch
-  // fence (nr_queues=4 over the checker's 2-channel device).
-  chk::ConcurrentCrashOptions conc4;
-  conc4.nr_queues = 4;
-  const chk::CrashSweepResult conc_mq = chk::run_concurrent_crash_sweep(
-      core::StackKind::kBfsDR, n, 1, conc4, jobs);
-  ok = ok && conc_mq.ok();
-  chk::FaultCrashOptions fault4;
-  fault4.wl.nr_queues = 4;
-  const chk::CrashSweepResult fault_mq = chk::run_fault_crash_sweep(
-      core::StackKind::kBfsOD, n, 1, fault4, jobs);
-  ok = ok && fault_mq.ok();
-
+  std::string tally;
+  for (const auto& run : runs) {
+    const chk::CrashSweepResult r =
+        chk::run_sweep(run.spec, run.points, 1, jobs);
+    ok = ok && (run.must_fail ? !r.ok() : r.ok());
+    tally += strf("%s%s %d", tally.empty() ? "" : ", ", run.name,
+                  r.failed_points);
+  }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   std::printf(
-      "parallel smoke: jobs=%d points/flavour=%d wall=%.1fs "
-      "(sweep %d, conc %d, ring %d, fault %d, neg-control %d, node %d, "
-      "conc-q4 %d, fault-q4 %d failed points) -> %s\n",
-      bio::sim::resolve_host_jobs(jobs), n, secs, sw.failed_points,
-      conc.failed_points, ring.failed_points, fault.failed_points,
-      neg.failed_points, mv.failed_points, conc_mq.failed_points,
-      fault_mq.failed_points, ok ? "ok" : "FAILED");
+      "parallel smoke: jobs=%d points/flavour=%d wall=%.1fs (%s failed "
+      "points) -> %s\n",
+      sim::resolve_host_jobs(jobs), n, secs, tally.c_str(),
+      ok ? "ok" : "FAILED");
   return ok ? 0 : 1;
+}
+
+const StackKind kKinds[] = {StackKind::kExt4DR, StackKind::kBfsDR,
+                            StackKind::kBfsOD, StackKind::kOptFs,
+                            StackKind::kExt4OD};
+
+/// Prints one table row — stack, columns, verdict — and the sample
+/// violations of a failing or expected-broken stack. EXT4-OD must fail
+/// every sweep in `rs`; every other stack must pass them all. Returns
+/// whether the stack met that expectation.
+bool row(StackKind kind, const std::string& columns,
+         std::initializer_list<const chk::CrashSweepResult*> rs) {
+  const bool expect_violations = kind == StackKind::kExt4OD;
+  bool stack_ok = true;
+  for (const chk::CrashSweepResult* r : rs)
+    stack_ok = stack_ok && r->ok() != expect_violations;
+  std::printf("%-7s | %s | %s\n", core::to_string(kind), columns.c_str(),
+              stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
+                                            : "ok")
+                       : (expect_violations
+                              ? "UNEXPECTEDLY CLEAN (checker too weak?)"
+                              : "VIOLATED"));
+  if (!stack_ok || expect_violations)
+    for (const chk::CrashSweepResult* r : rs)
+      for (const std::string& v : r->sample_violations)
+        std::printf("        ! %s\n", v.c_str());
+  return stack_ok;
 }
 
 }  // namespace
@@ -303,35 +231,31 @@ int main(int argc, char** argv) {
     // deterministic (the first violating sweep seed is in the 90s).
     if (std::strcmp(argv[i], "--smoke") == 0) points = 120;
     if (std::strcmp(argv[i], "--parallel-smoke") == 0) parallel_smoke = true;
-    if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc)
-      points = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      // Same strictness as --repro: a silently mis-parsed jobs count would
-      // run a different configuration than the one asked for.
-      std::uint64_t j = 0;
-      if (!parse_u64(argv[i + 1], j) || j < 1 ||
-          j > static_cast<std::uint64_t>(bio::sim::kMaxHostJobs)) {
-        std::fprintf(stderr,
-                     "bad --jobs '%s' (want a decimal in [1, %d])\n",
-                     argv[i + 1], bio::sim::kMaxHostJobs);
+    if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
+      if (!parse_count(argv[++i], chk::kMaxReproPoint, points)) {
+        std::fprintf(stderr, "bad --points '%s' (want a decimal in [1, %d])\n",
+                     argv[i], chk::kMaxReproPoint);
         return 2;
       }
-      jobs = static_cast<int>(j);
-      ++i;
+    }
+    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      if (!parse_count(argv[++i], sim::kMaxHostJobs, jobs)) {
+        std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
+                     argv[i], sim::kMaxHostJobs);
+        return 2;
+      }
     }
     if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc)
       return run_repro(argv[i + 1]);
   }
   if (parallel_smoke) return run_parallel_smoke(jobs);
   const auto sweep_t0 = std::chrono::steady_clock::now();
-
-  const core::StackKind kinds[] = {
-      core::StackKind::kExt4DR, core::StackKind::kBfsDR,
-      core::StackKind::kBfsOD, core::StackKind::kOptFs,
-      core::StackKind::kExt4OD};
+  auto sweep = [&](const chk::SweepSpec& spec) {
+    return chk::run_sweep(spec, points, 1, jobs);
+  };
 
   std::printf("crash-recovery sweep: %d crash points per stack, jobs=%d\n\n",
-              points, bio::sim::resolve_host_jobs(jobs));
+              points, sim::resolve_host_jobs(jobs));
   std::printf(
       "stack   | points | failed | quiesced | acked pgs | order wrs | wraps "
       "| verdict\n");
@@ -345,99 +269,67 @@ int main(int argc, char** argv) {
   // stepped densely through the active workload.
   auto hunt_legacy_violation = [] {
     for (std::uint64_t seed = 1; seed <= 50; ++seed)
-      for (bio::sim::SimTime t = 2'000'000; t <= 30'000'000; t += 1'500'000)
-        if (!chk::run_crash_check(core::StackKind::kExt4OD, seed, t, {}).ok())
+      for (sim::SimTime t = 2'000'000; t <= 30'000'000; t += 1'500'000)
+        if (!chk::run_check(plain(StackKind::kExt4OD), seed, t).ok())
           return true;
     return false;
   };
 
   bool ok = true;
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    chk::CrashSweepResult r = chk::run_crash_sweep(kind, points, 1, {}, jobs);
-    if (expect_violations && r.ok() && hunt_legacy_violation())
+  for (StackKind kind : kKinds) {
+    chk::CrashSweepResult r = sweep(plain(kind));
+    if (kind == StackKind::kExt4OD && r.ok() && hunt_legacy_violation())
       r.failed_points = 1;  // found by the directed hunt
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf("%-7s | %6d | %6d | %8d | %9llu | %9llu | %5llu | %s\n",
-                core::to_string(kind), r.points, r.failed_points,
-                r.quiesced_points,
-                static_cast<unsigned long long>(r.acked_pages_checked),
-                static_cast<unsigned long long>(r.order_writes_checked),
-                static_cast<unsigned long long>(r.journal_wraps),
-                stack_ok
-                    ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                         : "ok")
-                    : (expect_violations
-                           ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                           : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
+    ok = row(kind,
+             strf("%6d | %6d | %8d | %9llu | %9llu | %5llu", r.points,
+                  r.failed_points, r.quiesced_points,
+                  (unsigned long long)r.acked_pages_checked,
+                  (unsigned long long)r.order_writes_checked,
+                  (unsigned long long)r.journal_wraps),
+             {&r}) &&
+         ok;
   }
 
   // ---- concurrent multi-writer sweep (DESIGN.md §9) ------------------------
   std::printf(
       "\nconcurrent sweep: %d crash points per stack, %u writers over "
       "shared fds\n",
-      points, chk::ConcurrentCrashOptions{}.wl.writers);
+      points, wl::ConcurrentWritersParams{}.writers);
   std::printf(
       "stack   | failed | acked pgs | order wrs | syncs | fd-cyc | "
       "close-in-sync | verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_concurrent_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %9llu | %9llu | %5llu | %6llu | %13llu | %s\n",
-        core::to_string(kind), r.failed_points,
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.syncs_recorded),
-        static_cast<unsigned long long>(r.fd_cycles),
-        static_cast<unsigned long long>(r.closes_during_sync),
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
+  for (StackKind kind : kKinds) {
+    const chk::CrashSweepResult r = sweep(conc(kind));
+    ok = row(kind,
+             strf("%6d | %9llu | %9llu | %5llu | %6llu | %13llu",
+                  r.failed_points, (unsigned long long)r.acked_pages_checked,
+                  (unsigned long long)r.order_writes_checked,
+                  (unsigned long long)r.syncs_recorded,
+                  (unsigned long long)r.fd_cycles,
+                  (unsigned long long)r.closes_during_sync),
+             {&r}) &&
+         ok;
   }
 
   // ---- ring-driven concurrent sweep (DESIGN.md §10) ------------------------
   std::printf(
       "\nring sweep: %d crash points per stack, %u writers batching linked "
       "chains\n",
-      points, chk::RingCrashOptions{}.wl.writers);
+      points, wl::RingWorkloadParams{}.writers);
   std::printf(
       "stack   | failed | chain facts | acked pgs | order wrs | syncs | "
       "fd-cyc | verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_ring_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %11llu | %9llu | %9llu | %5llu | %6llu | %s\n",
-        core::to_string(kind), r.failed_points,
-        static_cast<unsigned long long>(r.chain_facts_checked),
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.syncs_recorded),
-        static_cast<unsigned long long>(r.fd_cycles),
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
+  for (StackKind kind : kKinds) {
+    const chk::CrashSweepResult r = sweep(ring(kind));
+    ok = row(kind,
+             strf("%6d | %11llu | %9llu | %9llu | %5llu | %6llu",
+                  r.failed_points, (unsigned long long)r.chain_facts_checked,
+                  (unsigned long long)r.acked_pages_checked,
+                  (unsigned long long)r.order_writes_checked,
+                  (unsigned long long)r.syncs_recorded,
+                  (unsigned long long)r.fd_cycles),
+             {&r}) &&
+         ok;
   }
 
   // ---- fault-injection sweep (DESIGN.md §11) -------------------------------
@@ -448,27 +340,16 @@ int main(int argc, char** argv) {
   std::printf(
       "stack   | failed | faults | retries | io-fail | eio/erofs | degraded "
       "| verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_fault_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %6llu | %7llu | %7llu | %9llu | %8d | %s\n",
-        core::to_string(kind), r.failed_points,
-        (unsigned long long)r.faults_injected,
-        (unsigned long long)r.io_retries,
-        (unsigned long long)r.io_failures,
-        (unsigned long long)r.syncs_failed, r.degraded_points,
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
+  for (StackKind kind : kKinds) {
+    const chk::CrashSweepResult r = sweep(fault(kind));
+    ok = row(kind,
+             strf("%6d | %6llu | %7llu | %7llu | %9llu | %8d",
+                  r.failed_points, (unsigned long long)r.faults_injected,
+                  (unsigned long long)r.io_retries,
+                  (unsigned long long)r.io_failures,
+                  (unsigned long long)r.syncs_failed, r.degraded_points),
+             {&r}) &&
+         ok;
   }
 
   // ---- multi-queue sweeps: nr_queues=4 (DESIGN.md §14) ---------------------
@@ -478,52 +359,31 @@ int main(int argc, char** argv) {
   // path. The clean stacks must stay clean; the nobarrier stack must stay
   // deterministically broken (queue count does not change what the device
   // promises).
-  {
-    std::printf(
-        "\nmulti-queue sweeps: nr_queues=4, %d crash points per stack "
-        "(concurrent + fault flavours)\n",
-        points);
-    std::printf(
-        "stack   | conc failed | fault failed | acked pgs | order wrs | "
-        "verdict\n");
-    chk::ConcurrentCrashOptions conc_opt;
-    conc_opt.nr_queues = 4;
-    chk::FaultCrashOptions fault_opt;
-    fault_opt.wl.nr_queues = 4;
-    for (core::StackKind kind : kinds) {
-      const bool expect_violations = kind == core::StackKind::kExt4OD;
-      const chk::CrashSweepResult rc =
-          chk::run_concurrent_crash_sweep(kind, points, 1, conc_opt, jobs);
-      const chk::CrashSweepResult rf =
-          chk::run_fault_crash_sweep(kind, points, 1, fault_opt, jobs);
-      const bool stack_ok = expect_violations ? !rc.ok() && !rf.ok()
-                                              : rc.ok() && rf.ok();
-      ok = ok && stack_ok;
-      std::printf(
-          "%-7s | %11d | %12d | %9llu | %9llu | %s\n", core::to_string(kind),
-          rc.failed_points, rf.failed_points,
-          static_cast<unsigned long long>(rc.acked_pages_checked),
-          static_cast<unsigned long long>(rc.order_writes_checked),
-          stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                        : "ok")
-                   : (expect_violations
-                          ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                          : "VIOLATED"));
-      if (!stack_ok)
-        for (const chk::CrashSweepResult* r : {&rc, &rf})
-          for (const std::string& v : r->sample_violations)
-            std::printf("        ! %s\n", v.c_str());
-    }
+  std::printf(
+      "\nmulti-queue sweeps: nr_queues=4, %d crash points per stack "
+      "(concurrent + fault flavours)\n",
+      points);
+  std::printf(
+      "stack   | conc failed | fault failed | acked pgs | order wrs | "
+      "verdict\n");
+  for (StackKind kind : kKinds) {
+    const chk::CrashSweepResult rc = sweep(conc(kind, 4));
+    const chk::CrashSweepResult rf = sweep(fault(kind, 4));
+    ok = row(kind,
+             strf("%11d | %12d | %9llu | %9llu", rc.failed_points,
+                  rf.failed_points,
+                  (unsigned long long)rc.acked_pages_checked,
+                  (unsigned long long)rc.order_writes_checked),
+             {&rc, &rf}) &&
+         ok;
   }
 
   // Negative control: complete failed IOs as successes (the injected bug)
   // and the same sweep seeds must now catch acked data never landing.
   {
-    chk::FaultCrashOptions swallow;
-    swallow.swallow_io_errors = true;
-    const chk::CrashSweepResult r = chk::run_fault_crash_sweep(
-        core::StackKind::kExt4DR, 20, 1, swallow, jobs);
-    const bool caught = r.failed_points > 0;
+    chk::SweepSpec swallow = fault(StackKind::kExt4DR);
+    swallow.faults->swallow_io_errors = true;
+    const bool caught = !chk::run_sweep(swallow, 20, 1, jobs).ok();
     ok = ok && caught;
     std::printf("negative control (swallowed EIO, EXT4-DR, 20 points): %s\n",
                 caught ? "detected (oracle is load-bearing)"
@@ -531,23 +391,20 @@ int main(int argc, char** argv) {
   }
 
   // ---- multi-volume node: two independent journals, one power cut ----------
-  const std::vector<core::StackKind> node_kinds = {core::StackKind::kBfsDR,
-                                                   core::StackKind::kExt4DR};
+  const chk::SweepSpec node{.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}};
   std::printf("\nmulti-volume node sweep: %d crash points, volumes:", points);
-  for (core::StackKind k : node_kinds)
-    std::printf(" %s", core::to_string(k));
+  for (StackKind k : node.volumes) std::printf(" %s", core::to_string(k));
   std::printf("\n");
-  const chk::MultiVolumeSweepResult mv =
-      chk::run_multi_volume_crash_sweep(node_kinds, points, 1, {}, jobs);
+  const chk::CrashSweepResult mv = sweep(node);
   for (std::size_t v = 0; v < mv.volumes.size(); ++v) {
     const chk::CrashSweepResult& r = mv.volumes[v];
     std::printf(
         "  v%zu %-7s | failed %d | acked pgs %llu | order wrs %llu | "
         "ns facts %llu | %s\n",
-        v, core::to_string(node_kinds[v]), r.failed_points,
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.namespace_facts_checked),
+        v, core::to_string(node.volumes[v]), r.failed_points,
+        (unsigned long long)r.acked_pages_checked,
+        (unsigned long long)r.order_writes_checked,
+        (unsigned long long)r.namespace_facts_checked,
         r.ok() ? "ok" : "VIOLATED");
   }
   ok = ok && mv.ok();
@@ -559,7 +416,7 @@ int main(int argc, char** argv) {
                                     sweep_t0)
           .count();
   std::printf("\ntotal sweep wall time: %.1fs (jobs=%d)\n", sweep_secs,
-              bio::sim::resolve_host_jobs(jobs));
+              sim::resolve_host_jobs(jobs));
   std::printf(
       "\nThe four barrier/durability stacks keep their guarantees across "
       "every\npower cut — single-writer and concurrent, per volume, even "

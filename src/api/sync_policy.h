@@ -80,10 +80,10 @@ struct SyncPolicy {
 };
 
 /// Executes one concrete syscall against `f`. The single funnel through
-/// which policy-resolved intents reach the filesystem (used by api::Vfs and
-/// the deprecated Stack helpers). Returns the filesystem's verdict: kIo
-/// when the call's own journal commit died, kRoFs on a degraded volume
-/// (kNone trivially succeeds).
+/// which policy-resolved intents reach the filesystem; api::Vfs is its one
+/// caller. Returns the filesystem's verdict: kIo when the call's own
+/// journal commit died, kRoFs on a degraded volume (kNone trivially
+/// succeeds).
 sim::TaskOf<fs::FsStatus> issue(fs::Filesystem& filesystem, fs::Inode& f,
                                 Syscall call);
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "api/vfs.h"
@@ -20,31 +21,8 @@ namespace {
 using namespace bio::sim::literals;
 using core::StackKind;
 using flash::Lba;
-using flash::Version;
 
-/// What the stack's API contract promises (the checker verifies exactly
-/// this; EXT4-OD *claims* the EXT4-DR contract and is expected to break it).
-struct Guarantees {
-  /// durability_point()/sync_file() returned => covered data is on media.
-  bool durable_acks = false;
-};
-
-Guarantees guarantees_of(StackKind kind) {
-  switch (kind) {
-    case StackKind::kExt4DR:
-    case StackKind::kExt4OD:  // claimed, not kept — the paper's motivation
-    case StackKind::kBfsDR:
-      return {.durable_acks = true};
-    case StackKind::kBfsOD:
-    case StackKind::kOptFs:
-      return {.durable_acks = false};  // ordering only until quiescence
-  }
-  return {};
-}
-
-core::StackConfig checker_config(StackKind kind, std::uint32_t journal_blocks,
-                                 std::uint32_t extent_blocks,
-                                 std::uint32_t nr_queues) {
+core::StackConfig checker_config(StackKind kind, const SweepSpec& spec) {
   flash::DeviceProfile dev;
   dev.name = "chk";
   dev.geometry = flash::Geometry{.channels = 2,
@@ -63,947 +41,58 @@ core::StackConfig checker_config(StackKind kind, std::uint32_t journal_blocks,
   dev.plp_flush_latency = 15_us;
   dev.read_hit_latency = 5_us;
   core::StackConfig cfg = core::StackConfig::make(kind, dev);
-  if (journal_blocks != 0) cfg.fs.journal_blocks = journal_blocks;
+  if (spec.journal_blocks != 0) cfg.fs.journal_blocks = spec.journal_blocks;
   cfg.fs.max_inodes = 64;
-  cfg.fs.default_extent_blocks = extent_blocks;
+  cfg.fs.default_extent_blocks =
+      std::visit([](const auto& p) { return p.extent_blocks; }, spec.workload);
   cfg.fs.writeback_high_watermark = 1u << 20;  // pdflush off: explicit syncs
-  cfg.blk.nr_queues = nr_queues;
+  cfg.blk.nr_queues = spec.nr_queues;
   return cfg;
 }
 
-core::StackConfig checker_config(StackKind kind,
-                                 const CrashCheckOptions& opt) {
-  return checker_config(kind, opt.journal_blocks, opt.extent_blocks,
-                        opt.nr_queues);
+std::unique_ptr<core::Stack> make_node(const SweepSpec& spec) {
+  if (spec.volumes.size() == 1)
+    return std::make_unique<core::Stack>(
+        checker_config(spec.volumes.front(), spec));
+  std::vector<core::StackConfig> bases;
+  for (StackKind kind : spec.volumes)
+    bases.push_back(checker_config(kind, spec));
+  return std::make_unique<core::Stack>(core::NodeConfig::from(bases));
 }
 
-/// One buffered write as the oracle remembers it.
-struct PageWrite {
-  Lba lba = 0;
-  Version version = 0;
-  /// The file's ordering epoch at write time (order/durability/full-sync
-  /// points bump it): if any write of a later epoch survives, every write
-  /// of an earlier epoch must have survived.
-  std::uint64_t epoch = 0;
-};
+/// Volume `i`'s mount prefix: the root mount on a single-volume spec.
+std::string prefix_of(const SweepSpec& spec, std::size_t i) {
+  return spec.volumes.size() == 1 ? std::string()
+                                  : "/v" + std::to_string(i) + "/";
+}
 
-struct FileOracle {
-  /// Volume-relative name history: [0] is the create name, back() the
-  /// current one; rename() appends. Recovery may legitimately surface any
-  /// name at/after the last durably-synced index, and nothing else.
-  std::vector<std::string> rel_names;
-  api::File handle;
-  fs::Inode* inode = nullptr;
-  std::uint64_t epoch = 0;
-  /// Latest write per page.
-  std::map<std::uint32_t, PageWrite> pages;
-  /// Every write, epoch-tagged (order-prefix checking).
-  std::vector<PageWrite> writes;
-  /// Writes with index < synced_upto were covered by some sync point and
-  /// must be durable once the device quiesces.
-  std::size_t synced_upto = 0;
-  /// Snapshot of `pages` at the last durability-guaranteed sync return.
-  std::map<std::uint32_t, PageWrite> acked;
-  bool has_acks = false;
-  /// sync_file() returned: the file (and this size) must survive.
-  bool full_synced = false;
-  std::uint32_t full_synced_size = 0;
-  /// Name index as of the last returned sync_file(): that sync committed
-  /// every rename before it, so older names are durably gone.
-  std::size_t synced_name_idx = 0;
-  /// The name was unlink()ed (the open handle keeps the file writable).
-  bool unlinked = false;
-  /// sync_file() returned after the unlink: the removal is committed.
-  bool synced_after_unlink = false;
+void spawn_workload(const SweepSpec& spec, core::Volume& vol, api::Vfs& vfs,
+                    std::string prefix, std::uint64_t seed,
+                    wl::ConcurrentTrace& trace) {
+  std::visit(
+      [&](auto params) {
+        params.seed = seed;
+        using P = decltype(params);
+        if constexpr (std::is_same_v<P, wl::SingleWriterParams>)
+          wl::spawn_single_writer(vol, vfs, std::move(prefix), params, trace);
+        else if constexpr (std::is_same_v<P, wl::ConcurrentWritersParams>)
+          wl::spawn_concurrent_writers(vol, vfs, std::move(prefix), params,
+                                       trace);
+        else
+          wl::spawn_ring_writers(vol, vfs, std::move(prefix), params, trace);
+      },
+      spec.workload);
+}
 
-  const std::string& rel_name() const { return rel_names.back(); }
-};
-
-struct Oracle {
-  std::vector<FileOracle> files;
-  bool finished = false;
-  std::uint32_t renames = 0;
-  std::uint32_t unlinks = 0;
-  /// Sync syscalls that returned kIo/kRoFs (fault-tolerant runs only).
-  std::uint32_t syncs_failed = 0;
-  /// The workload observed EROFS — the volume degraded read-only and the
-  /// writer stopped mutating (reads would still work).
-  bool stopped_rofs = false;
-};
-
-/// The randomized workload, running against one volume of the node through
-/// the shared Vfs. `prefix` is the mount prefix ("" on a single-volume
-/// root mount, "/v0/" on a mounted volume).
-sim::Task workload(core::Volume& vol, api::Vfs& vfs, std::string prefix,
-                   Oracle& oracle, const CrashCheckOptions& opt,
-                   const Guarantees& g, std::uint64_t seed,
-                   bool fault_tolerant = false) {
-  sim::Rng rng(seed);
-  // Fault-tolerant runs accept EIO (the sync's commit died, or a data
-  // writeback was lost — errseq) and EROFS (volume degraded read-only);
-  // durability facts are recorded only for syscalls that returned kOk.
-  // Fault-free runs keep the hard must() contract.
-  auto sync_ok = [&oracle, fault_tolerant](api::Status st) {
-    if (st.ok()) return true;
-    BIO_CHECK_MSG(fault_tolerant,
-                  "checker workload: sync failed on a fault-free run");
-    ++oracle.syncs_failed;
-    if (st.error() == api::Errno::kRoFs) oracle.stopped_rofs = true;
-    return false;
-  };
-  oracle.files.resize(static_cast<std::size_t>(opt.files));
-  for (int i = 0; i < opt.files; ++i) {
-    FileOracle& f = oracle.files[static_cast<std::size_t>(i)];
-    f.rel_names.push_back("f" + std::to_string(i));
-    api::OpenOptions oo;
-    oo.create = true;
-    oo.extent_blocks = opt.extent_blocks;
-    api::Result<api::File> r = co_await vfs.open(prefix + f.rel_name(), oo);
-    BIO_CHECK_MSG(r.ok(), "checker workload: open failed");
-    f.handle = r.value();
-    f.inode = vol.fs().lookup(f.rel_name());
-    BIO_CHECK(f.inode != nullptr);
+/// "EXT4-DR", or "BFS-DR+EXT4-DR" for a node.
+std::string kinds_tag(const std::vector<StackKind>& kinds) {
+  std::string out;
+  for (StackKind k : kinds) {
+    if (!out.empty()) out += '+';
+    out += core::to_string(k);
   }
-  // Settle the creates so every later crash point has the namespace.
-  {
-    FileOracle& f0 = oracle.files.front();
-    if (sync_ok(co_await f0.handle.sync_file())) {
-      for (FileOracle& f : oracle.files) {
-        ++f.epoch;
-        if (g.durable_acks) {
-          f.full_synced = true;
-          f.full_synced_size = f.inode->size_blocks;
-          f.has_acks = true;
-        }
-        f.synced_upto = f.writes.size();
-      }
-    }
-  }
-
-  auto record_write = [&](FileOracle& f, std::uint32_t page,
-                          std::uint32_t n) {
-    for (std::uint32_t p = page; p < page + n; ++p) {
-      const fs::PageCache::PageState* st =
-          vol.fs().page_cache().find(f.inode->ino, p);
-      BIO_CHECK(st != nullptr);
-      const PageWrite w{f.inode->lba_of_page(p), st->version, f.epoch};
-      f.pages[p] = w;
-      f.writes.push_back(w);
-    }
-  };
-
-  for (int i = 0; i < opt.ops; ++i) {
-    if (oracle.stopped_rofs) break;  // degraded read-only: stop mutating
-    FileOracle& f = oracle.files[static_cast<std::size_t>(
-        rng.uniform(0, opt.files - 1))];
-    const int dice = static_cast<int>(rng.uniform(0, 99));
-    if (dice < 48) {
-      const std::uint32_t n = static_cast<std::uint32_t>(rng.uniform(1, 3));
-      const std::uint32_t page = static_cast<std::uint32_t>(
-          rng.uniform(0, opt.extent_blocks - n));
-      api::Result<std::uint32_t> r = co_await f.handle.pwrite(page, n);
-      if (r.ok())
-        record_write(f, page, r.value());
-      else if (r.error() == api::Errno::kRoFs)
-        oracle.stopped_rofs = true;
-    } else if (dice < 58) {
-      const std::uint32_t room = opt.extent_blocks - f.inode->size_blocks;
-      if (room > 0) {
-        const std::uint32_t n = std::min<std::uint32_t>(
-            room, static_cast<std::uint32_t>(rng.uniform(1, 2)));
-        const std::uint32_t at = f.inode->size_blocks;
-        api::Result<std::uint32_t> r = co_await f.handle.append(n);
-        if (r.ok())
-          record_write(f, at, r.value());
-        else if (r.error() == api::Errno::kRoFs)
-          oracle.stopped_rofs = true;
-      }
-    } else if (dice < 72) {
-      if (sync_ok(co_await f.handle.order_point())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-      }
-    } else if (dice < 84) {
-      if (sync_ok(co_await f.handle.durability_point())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-        if (g.durable_acks) {
-          f.acked = f.pages;
-          f.has_acks = true;
-        }
-      }
-    } else if (dice < 93) {
-      if (sync_ok(co_await f.handle.sync_file())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-        f.synced_name_idx = f.rel_names.size() - 1;
-        if (f.unlinked) {
-          f.synced_after_unlink = true;
-        } else {
-          f.full_synced = true;
-          f.full_synced_size = f.inode->size_blocks;
-        }
-        if (g.durable_acks) {
-          f.acked = f.pages;
-          f.has_acks = true;
-        }
-      }
-    } else if (dice < 97) {
-      // Namespace churn: rename — mostly to a fresh name, sometimes a
-      // POSIX replace-rename onto another live file's name (the displaced
-      // file becomes nameless in the same transaction).
-      if (!f.unlinked) {
-        FileOracle* victim = nullptr;
-        if (rng.chance(0.3) &&
-            oracle.unlinks < static_cast<std::uint32_t>(opt.files) / 2) {
-          FileOracle& v = oracle.files[static_cast<std::size_t>(
-              rng.uniform(0, opt.files - 1))];
-          if (&v != &f && !v.unlinked) victim = &v;
-        }
-        const std::string next =
-            victim != nullptr
-                ? victim->rel_name()
-                : f.rel_names.front() + ".r" +
-                      std::to_string(f.rel_names.size());
-        const api::Status st =
-            co_await vfs.rename(prefix + f.rel_name(), prefix + next);
-        if (st.ok()) {
-          f.rel_names.push_back(next);
-          ++oracle.renames;
-          if (victim != nullptr) {
-            victim->unlinked = true;
-            victim->full_synced = false;
-            ++oracle.unlinks;
-          }
-        } else {
-          BIO_CHECK_MSG(fault_tolerant && st.error() == api::Errno::kRoFs,
-                        "checker workload: rename failed unexpectedly");
-          oracle.stopped_rofs = true;
-        }
-      }
-    } else {
-      // Namespace churn: unlink; the open handle keeps the file writable
-      // (and its extent alive) for the rest of the run.
-      if (!f.unlinked &&
-          oracle.unlinks < static_cast<std::uint32_t>(opt.files) / 2) {
-        const api::Status st = co_await vfs.unlink(prefix + f.rel_name());
-        if (st.ok()) {
-          f.unlinked = true;
-          // The earlier "fsynced => exists" fact is void: any later commit
-          // (group commit included) may durably remove the name.
-          f.full_synced = false;
-          ++oracle.unlinks;
-        } else {
-          BIO_CHECK_MSG(fault_tolerant && st.error() == api::Errno::kRoFs,
-                        "checker workload: unlink failed unexpectedly");
-          oracle.stopped_rofs = true;
-        }
-      }
-    }
-    if (rng.chance(0.3))
-      co_await vol.sim().delay(rng.uniform(1, 400) * 1_us);
-    if (rng.chance(0.08))
-      co_await vol.sim().delay(rng.uniform(2'000, 6'000) * 1_us);
-  }
-  oracle.finished = true;
+  return out;
 }
-
-std::string describe(const PageWrite& w) {
-  std::ostringstream os;
-  os << "lba=" << w.lba << " v=" << w.version << " epoch=" << w.epoch;
-  return os.str();
-}
-
-/// BIO_CHK_DEBUG=1 diagnostic dump for a failed write check: where the
-/// block's versions actually ended up (image, FTL mapping, transfer
-/// history, log prefix). This is how the checker's findings get root-caused
-/// down the stack.
-void debug_dump_write(const char* what, const PageWrite& w,
-                      const flash::StorageDevice::DurableImage& image,
-                      core::Volume& vol) {
-  if (std::getenv("BIO_CHK_DEBUG") == nullptr) return;
-  auto img = image.blocks.find(w.lba);
-  const auto mapped = vol.device().log().mapped_version(w.lba);
-  std::fprintf(stderr, "DBG %s lba=%llu v=%llu image=%lld mapped=%lld\n",
-               what, (unsigned long long)w.lba, (unsigned long long)w.version,
-               img == image.blocks.end() ? -1 : (long long)img->second,
-               mapped.has_value() ? (long long)*mapped : -1);
-  for (const auto& e : vol.device().transfer_history())
-    if (e.lba == w.lba)
-      std::fprintf(stderr, "  xfer v=%llu epoch=%llu order=%llu\n",
-                   (unsigned long long)e.version, (unsigned long long)e.epoch,
-                   (unsigned long long)e.order);
-  std::fprintf(stderr, "  log prefix=%llu appends=%llu cache_dirty=%zu\n",
-               (unsigned long long)vol.device().log().programmed_prefix(),
-               (unsigned long long)vol.device().log().append_count(),
-               vol.device().cache().dirty_count());
-}
-
-/// A workload file as the shared namespace checks see it: its name history
-/// and its inode — the common shape of FileOracle and wl::FileTrace.
-struct NamespaceView {
-  const std::vector<std::string>* names = nullptr;
-  const fs::Inode* inode = nullptr;
-};
-
-/// Captures the durable image, recovers it from the volume's own journal
-/// and fills the recovery facts of `res` — the boilerplate every verify
-/// flavour shares.
-struct Recovered {
-  flash::StorageDevice::DurableImage image;
-  fs::RecoveryReport report;
-};
-
-Recovered recover_volume(CrashCheckResult& res, core::Volume& vol) {
-  res.journal_wraps = vol.fs().journal().stats().journal_wraps;
-  res.journal_stalls = vol.fs().journal().stats().journal_stalls;
-  res.checkpoint_flushes = vol.fs().journal().stats().checkpoint_flushes;
-  Recovered r;
-  r.image = vol.device().capture_durable_image();
-  const fs::Recovery recovery(vol.fs().journal(), vol.fs().layout(),
-                              vol.fs().config());
-  r.report = recovery.recover(r.image.blocks);
-  res.files_recovered = static_cast<std::uint32_t>(r.report.files.size());
-  res.txns_replayed = r.report.txns_replayed;
-  res.txns_discarded = r.report.txns_discarded;
-  res.tail_truncated = r.report.tail_truncated;
-  res.recovery_clean = r.report.clean();
-  if (!r.report.clean())
-    res.violations.push_back(
-        "recovery silently corrupted " +
-        std::to_string(r.report.corrupted_blocks.size()) +
-        " home block(s) (stale log replay under a surviving commit)");
-  return r;
-}
-
-/// Global recovered-namespace consistency — no duplicate or fabricated
-/// names, extents inside the volume's data region, each recovered file over
-/// an extent some workload file owns and under a name that extent actually
-/// carried. Returns the recovered files indexed by extent base (the stable
-/// file identity: handles stay open all run, so no extent ever recycles).
-std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
-                          const fs::RecoveryReport& report,
-                          const std::vector<NamespaceView>& views) {
-  auto violation = [&res](const std::string& what) {
-    res.violations.push_back(what);
-  };
-  std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent;
-  std::map<std::string, int> name_count;
-  const Lba data_base = vol.fs().layout().data_base();
-  const Lba data_end = vol.device().profile().geometry.physical_pages();
-  for (const fs::RecoveryReport::RecoveredFile& rf : report.files) {
-    ++res.namespace_facts_checked;
-    if (++name_count[rf.name] > 1)
-      violation("namespace: name " + rf.name + " recovered twice");
-    // Every volume has its own LBA space starting at 0, so a *foreign*
-    // volume's extent can be numerically in range — cross-volume leakage
-    // is caught by the per-volume oracle (ownership + name history + data
-    // versions), not by this range check, which catches extents corrupted
-    // into the journal/inode region or past the device.
-    if (rf.extent_base < data_base ||
-        rf.extent_base + rf.extent_blocks > data_end)
-      violation("namespace: " + rf.name +
-                " recovered with an extent outside this volume's data "
-                "region");
-    if (const auto [pos, inserted] = by_extent.emplace(rf.extent_base, &rf);
-        !inserted)
-      violation("namespace: extent of " + rf.name +
-                " also recovered as " + pos->second->name +
-                " — one file under two names");
-    const NamespaceView* owner = nullptr;
-    for (const NamespaceView& v : views)
-      if (v.inode != nullptr && v.inode->extent_base == rf.extent_base) {
-        owner = &v;
-        break;
-      }
-    if (owner == nullptr) {
-      violation("namespace: recovered file " + rf.name +
-                " maps to no extent the workload created");
-      continue;
-    }
-    if (std::find(owner->names->begin(), owner->names->end(), rf.name) ==
-        owner->names->end())
-      violation("namespace: " + rf.name +
-                " recovered over an extent that never carried that name");
-  }
-  return by_extent;
-}
-
-/// Captures the volume's durable image at the cut instant, recovers it
-/// from the volume's own journal (and nothing else), and verifies the
-/// volume's contract against its oracle. Fills `res`; returns the report
-/// for the remount phase.
-fs::RecoveryReport verify_volume(CrashCheckResult& res, core::Volume& vol,
-                                 const Oracle& oracle, const Guarantees& g) {
-  res.workload_finished = oracle.finished;
-  res.quiesced = oracle.finished &&
-                 vol.device().cache().dirty_count() == 0 &&
-                 vol.device().queue_depth() == 0;
-  res.renames_done = oracle.renames;
-  res.unlinks_done = oracle.unlinks;
-
-  Recovered rec = recover_volume(res, vol);
-  fs::RecoveryReport& report = rec.report;
-  const flash::StorageDevice::DurableImage& image = rec.image;
-
-  auto violation = [&res](const std::string& what) {
-    res.violations.push_back(what);
-  };
-
-  auto present = [&report](const PageWrite& w) {
-    auto it = report.data.find(w.lba);
-    return it != report.data.end() && it->second >= w.version;
-  };
-
-  std::vector<NamespaceView> views;
-  views.reserve(oracle.files.size());
-  for (const FileOracle& f : oracle.files)
-    views.push_back({&f.rel_names, f.inode});
-  const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
-
-  const bool facts_apply_base = res.quiesced;
-  for (const FileOracle& f : oracle.files) {
-    const bool facts_apply = g.durable_acks || facts_apply_base;
-    const fs::RecoveryReport::RecoveredFile* rf = nullptr;
-    if (f.inode != nullptr) {
-      auto it = by_extent.find(f.inode->extent_base);
-      if (it != by_extent.end()) rf = it->second;
-    }
-    // 1. Acknowledged durability: every page covered by a returned
-    //    durability_point()/sync_file() must have survived.
-    if (g.durable_acks && f.has_acks) {
-      for (const auto& [page, w] : f.acked) {
-        ++res.acked_pages_checked;
-        if (!present(w)) {
-          violation(f.rel_name() + " page " + std::to_string(page) + " (" +
-                    describe(w) + ") was acked durable but did not survive");
-          debug_dump_write("acked", w, image, vol);
-        }
-      }
-    }
-    // 2. Epoch prefix ordering: a surviving write of epoch e proves every
-    //    write of epochs < e survived.
-    std::uint64_t max_present_epoch = 0;
-    bool any_present = false;
-    for (const PageWrite& w : f.writes)
-      if (present(w)) {
-        max_present_epoch = std::max(max_present_epoch, w.epoch);
-        any_present = true;
-      }
-    for (const PageWrite& w : f.writes) {
-      ++res.order_writes_checked;
-      if (any_present && w.epoch < max_present_epoch && !present(w)) {
-        violation(f.rel_name() + " write (" + describe(w) +
-                  ") lost although epoch " +
-                  std::to_string(max_present_epoch) +
-                  " survived — ordering broken");
-        debug_dump_write("order", w, image, vol);
-      }
-    }
-    // 3. Delayed durability: once the device has quiesced, everything any
-    //    sync point ever covered must be on media (OptFS's osync contract;
-    //    trivially implied by durable_acks elsewhere).
-    if (res.quiesced) {
-      for (std::size_t i = 0; i < f.synced_upto; ++i) {
-        const PageWrite& w = f.writes[i];
-        if (!present(w))
-          violation(f.rel_name() + " write (" + describe(w) +
-                    ") not durable after quiescence");
-      }
-    }
-    // 4. Namespace existence: a (still-named) file whose sync_file()
-    //    returned must be recovered with at least the synced size. Without
-    //    durable acks this only holds after quiescence.
-    if (f.full_synced && facts_apply) {
-      ++res.namespace_facts_checked;
-      if (rf == nullptr)
-        violation(f.rel_name() +
-                  " was fsynced but does not exist after recovery");
-      else if (rf->size_blocks < f.full_synced_size)
-        violation(f.rel_name() + " recovered with size " +
-                  std::to_string(rf->size_blocks) + " < synced size " +
-                  std::to_string(f.full_synced_size));
-    }
-    // 5. Rename durability: sync_file() committed every rename before it,
-    //    so the file may only recover under the synced name or a newer
-    //    one (a later rename may have ridden a group commit).
-    if (facts_apply && f.synced_name_idx > 0 && rf != nullptr) {
-      ++res.namespace_facts_checked;
-      const auto it = std::find(f.rel_names.begin(), f.rel_names.end(),
-                                rf->name);
-      if (it != f.rel_names.end() &&
-          static_cast<std::size_t>(it - f.rel_names.begin()) <
-              f.synced_name_idx)
-        violation("namespace: " + rf->name +
-                  " recovered although the rename to " +
-                  f.rel_names[f.synced_name_idx] + " was durably synced");
-    }
-    // 6. Unlink durability: a sync_file() that returned after the unlink
-    //    committed the removal — the file must not reappear.
-    if (facts_apply && f.synced_after_unlink) {
-      ++res.namespace_facts_checked;
-      if (rf != nullptr)
-        violation("namespace: " + rf->name +
-                  " recovered although its unlink was durably synced");
-    }
-  }
-  return report;
-}
-
-/// Fault-mode verification: the power-cut oracle restricted to the facts
-/// that survive device faults (see run_fault_crash_check in the header).
-/// The epoch-prefix ordering checks are deliberately absent — a bounded
-/// retry legally re-lands a transiently failed write after later writes —
-/// and every durability fact was recorded only when its sync returned kOk.
-fs::RecoveryReport verify_fault_volume(CrashCheckResult& res,
-                                       core::Volume& vol,
-                                       const Oracle& oracle,
-                                       const Guarantees& g) {
-  res.workload_finished = oracle.finished;
-  res.volume_degraded = vol.fs().degraded();
-  res.syncs_failed = oracle.syncs_failed;
-  // Quiescence additionally requires a live journal and a clean page
-  // cache: an aborted journal never durably commits the writes its failed
-  // transaction covered, and a hard-faulted writeback redirties its page —
-  // fs-level dirt the workload may never have resubmitted.
-  res.quiesced = oracle.finished && !res.volume_degraded &&
-                 vol.device().cache().dirty_count() == 0 &&
-                 vol.device().queue_depth() == 0 &&
-                 vol.fs().page_cache().dirty_count() == 0;
-  res.renames_done = oracle.renames;
-  res.unlinks_done = oracle.unlinks;
-
-  Recovered rec = recover_volume(res, vol);
-  fs::RecoveryReport& report = rec.report;
-  const flash::StorageDevice::DurableImage& image = rec.image;
-
-  auto violation = [&res](const std::string& what) {
-    res.violations.push_back(what);
-  };
-  auto present = [&report](const PageWrite& w) {
-    auto it = report.data.find(w.lba);
-    return it != report.data.end() && it->second >= w.version;
-  };
-
-  std::vector<NamespaceView> views;
-  views.reserve(oracle.files.size());
-  for (const FileOracle& f : oracle.files)
-    views.push_back({&f.rel_names, f.inode});
-  const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
-
-  for (const FileOracle& f : oracle.files) {
-    const bool facts_apply = g.durable_acks || res.quiesced;
-    const fs::RecoveryReport::RecoveredFile* rf = nullptr;
-    if (f.inode != nullptr) {
-      auto it = by_extent.find(f.inode->extent_base);
-      if (it != by_extent.end()) rf = it->second;
-    }
-    // 1. Acked durability survives faults: a kOk durable-ack return means
-    //    the covered data is on media even when earlier IOs failed and
-    //    were retried — and even when the journal aborted afterwards (the
-    //    ack's transaction had already durably retired).
-    if (g.durable_acks && f.has_acks) {
-      for (const auto& [page, w] : f.acked) {
-        ++res.acked_pages_checked;
-        if (!present(w)) {
-          violation(f.rel_name() + " page " + std::to_string(page) + " (" +
-                    describe(w) +
-                    ") was acked durable (kOk under faults) but did not "
-                    "survive");
-          debug_dump_write("fault-acked", w, image, vol);
-        }
-      }
-    }
-    // 2. Delayed durability at quiescence (live journal only): everything
-    //    a kOk sync ever covered must be on media.
-    if (res.quiesced) {
-      for (std::size_t i = 0; i < f.synced_upto; ++i) {
-        const PageWrite& w = f.writes[i];
-        if (!present(w))
-          violation(f.rel_name() + " write (" + describe(w) +
-                    ") not durable after quiescence");
-      }
-    }
-    // 3. Namespace facts, exactly as in the fault-free oracle — they were
-    //    only recorded on kOk returns.
-    if (f.full_synced && facts_apply) {
-      ++res.namespace_facts_checked;
-      if (rf == nullptr)
-        violation(f.rel_name() +
-                  " was fsynced but does not exist after recovery");
-      else if (rf->size_blocks < f.full_synced_size)
-        violation(f.rel_name() + " recovered with size " +
-                  std::to_string(rf->size_blocks) + " < synced size " +
-                  std::to_string(f.full_synced_size));
-    }
-    if (facts_apply && f.synced_name_idx > 0 && rf != nullptr) {
-      ++res.namespace_facts_checked;
-      const auto it = std::find(f.rel_names.begin(), f.rel_names.end(),
-                                rf->name);
-      if (it != f.rel_names.end() &&
-          static_cast<std::size_t>(it - f.rel_names.begin()) <
-              f.synced_name_idx)
-        violation("namespace: " + rf->name +
-                  " recovered although the rename to " +
-                  f.rel_names[f.synced_name_idx] + " was durably synced");
-    }
-    if (facts_apply && f.synced_after_unlink) {
-      ++res.namespace_facts_checked;
-      if (rf != nullptr)
-        violation("namespace: " + rf->name +
-                  " recovered although its unlink was durably synced");
-    }
-  }
-  return report;
-}
-
-/// Sweep crash-instant stream: mostly mid-workload cuts, with a slice of
-/// late cuts exercising the quiesced (delayed-durability) contract. One
-/// generator shared by both sweep flavours so they always test the same
-/// crash-point population.
-class CrashPointGen {
- public:
-  explicit CrashPointGen(std::uint64_t base_seed)
-      : rng_(base_seed * 7919 + 17) {}
-
-  sim::SimTime next() {
-    return rng_.chance(0.2) ? rng_.uniform(60'000, 300'000) * 1_us
-                            : rng_.uniform(100, 60'000) * 1_us;
-  }
-
- private:
-  sim::Rng rng_;
-};
-
-/// The `q<N>` --repro segment carrying the block layer's queue count.
-/// Empty at the single-queue default, so pre-multi-queue specs stay valid
-/// and single-queue failures replay with the exact strings they always had.
-std::string repro_queue_segment(std::uint32_t nr_queues) {
-  return nr_queues == 1 ? std::string() : ":q" + std::to_string(nr_queues);
-}
-
-/// Records a failed point in both human-readable and machine-replayable
-/// form. `repro` is the examples/crash_consistency --repro spec prefix
-/// ("EXT4-DR", "conc:EXT4-DR:q4", "node"); every failure line ends with the
-/// exact flag that replays just that case.
-void note_failure(CrashSweepResult& sweep, const std::string& repro,
-                  const char* kind_tag, int point, std::uint64_t base_seed,
-                  const CrashCheckResult& r) {
-  if (sweep.failures.size() < 32)
-    sweep.failures.push_back(
-        {point, r.seed, r.crash_at, r.violations.front()});
-  if (sweep.sample_violations.size() < 8) {
-    std::ostringstream os;
-    os << kind_tag << " seed=" << r.seed << " crash=" << r.crash_at
-       << "ns point=" << point << ": " << r.violations.front()
-       << " (replay: --repro " << repro << ":" << base_seed << ":" << point
-       << ")";
-    sweep.sample_violations.push_back(os.str());
-  }
-}
-
-/// Shared sweep driver, parallel-safe by construction: one serial
-/// CrashPointGen pass precomputes every point's crash instant (the exact
-/// draw order of the legacy loop), a sim::HostPool runs the points across
-/// up to `jobs` host threads — each point builds its own core::Stack and
-/// derives its seed from its index alone — and the results fold into the
-/// aggregate in canonical point order. accumulate() and note_failure()
-/// therefore see the identical sequence at any jobs value, making a
-/// parallel sweep bit-identical to a serial one (counters, first-32
-/// failure coordinates, first-8 --repro sample strings).
-template <typename CheckFn>
-CrashSweepResult sweep_points(int points, std::uint64_t base_seed, int jobs,
-                              const std::string& repro, const char* kind_tag,
-                              const CheckFn& check) {
-  CrashSweepResult sweep;
-  if (points <= 0) return sweep;
-  CrashPointGen gen(base_seed);
-  std::vector<sim::SimTime> crash_at(static_cast<std::size_t>(points));
-  for (sim::SimTime& t : crash_at) t = gen.next();
-
-  std::vector<CrashCheckResult> results(static_cast<std::size_t>(points));
-  const sim::HostPool pool(jobs);
-  // iolint: detached-owner(for_each_index joins its workers before
-  // returning; the capture cannot outlive this frame)
-  pool.for_each_index(points, [&](int i) {
-    const auto idx = static_cast<std::size_t>(i);
-    results[idx] =
-        check(base_seed + static_cast<std::uint64_t>(i), crash_at[idx]);
-  });
-
-  for (int i = 0; i < points; ++i) {
-    const CrashCheckResult& res = results[static_cast<std::size_t>(i)];
-    sweep.accumulate(res);
-    if (!res.ok()) {
-      ++sweep.failed_points;
-      note_failure(sweep, repro, kind_tag, i, base_seed, res);
-    }
-  }
-  return sweep;
-}
-
-/// Remount-phase verification: the recovered image must yield a fully
-/// usable volume behind the (possibly multi-volume) fresh node's Vfs.
-sim::Task remount_verify(api::Vfs& vfs, std::string prefix,
-                         const fs::RecoveryReport& report,
-                         std::string& err) {
-  for (const auto& rf : report.files) {
-    api::Result<api::File> r = co_await vfs.open(prefix + rf.name, {});
-    if (!r.ok()) {
-      err = "open(" + prefix + rf.name + ") failed on remount";
-      co_return;
-    }
-    api::File h = r.value();
-    if (h.size_blocks().value() != rf.size_blocks) {
-      err = prefix + rf.name + " remounted with wrong size";
-      co_return;
-    }
-    must(h.close());
-  }
-  // The recovered filesystem must be fully usable: write + full sync.
-  api::OpenOptions oo;
-  oo.create = true;
-  api::Result<api::File> r = co_await vfs.open(prefix + "post-crash", oo);
-  if (!r.ok()) {
-    err = "create failed on remounted stack";
-    co_return;
-  }
-  api::File h = r.value();
-  api::Result<std::uint32_t> w = co_await h.pwrite(0, 2);
-  api::Status s = co_await h.sync_file();
-  if (!w.ok() || !s.ok()) err = "write+sync failed on remounted stack";
-  must(h.close());
-}
-
-}  // namespace
-
-CrashCheckResult run_crash_check(StackKind kind, std::uint64_t seed,
-                                 sim::SimTime crash_at,
-                                 const CrashCheckOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const Guarantees g = guarantees_of(kind);
-  const core::StackConfig cfg = checker_config(kind, opt);
-
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  Oracle oracle;
-  // iolint: detached-owner(run_until() below drives the task; the power
-  // cut discards any survivor before stack/vfs/oracle leave scope)
-  stack->sim().spawn(
-      "chk:wl", workload(stack->volume(0), vfs, "", oracle, opt, g, seed));
-  stack->sim().run_until(crash_at);  // power cut
-
-  const fs::RecoveryReport report =
-      verify_volume(res, stack->volume(0), oracle, g);
-
-  // ---- remount a fresh stack over the recovered image --------------------
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify",
-                        remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-
-  return res;
-}
-
-void CrashSweepResult::accumulate(const CrashCheckResult& r) {
-  ++points;
-  if (r.quiesced) ++quiesced_points;
-  faults_injected += r.faults_injected;
-  io_retries += r.io_retries;
-  io_failures += r.io_failures;
-  syncs_failed += r.syncs_failed;
-  if (r.volume_degraded) ++degraded_points;
-  acked_pages_checked += r.acked_pages_checked;
-  order_writes_checked += r.order_writes_checked;
-  namespace_facts_checked += r.namespace_facts_checked;
-  renames_done += r.renames_done;
-  unlinks_done += r.unlinks_done;
-  journal_wraps += r.journal_wraps;
-  journal_stalls += r.journal_stalls;
-  files_recovered += r.files_recovered;
-  syncs_recorded += r.syncs_recorded;
-  fd_cycles += r.fd_cycles;
-  closes_during_sync += r.closes_during_sync;
-  chain_facts_checked += r.chain_facts_checked;
-}
-
-sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point) {
-  CrashPointGen gen(base_seed);
-  sim::SimTime t = 0;
-  for (int i = 0; i <= point; ++i) t = gen.next();
-  return t;
-}
-
-CrashSweepResult run_crash_sweep(StackKind kind, int points,
-                                 std::uint64_t base_seed,
-                                 const CrashCheckOptions& opt, int jobs) {
-  return sweep_points(points, base_seed, jobs,
-                      core::to_string(kind) +
-                          repro_queue_segment(opt.nr_queues),
-                      core::to_string(kind),
-                      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-                        return run_crash_check(kind, seed, crash_at, opt);
-                      });
-}
-
-// ---- fault-injection crash sweep --------------------------------------------
-
-CrashCheckResult run_fault_crash_check(StackKind kind, std::uint64_t seed,
-                                       sim::SimTime crash_at,
-                                       const FaultCrashOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const Guarantees g = guarantees_of(kind);
-  const core::StackConfig cfg = checker_config(kind, opt.wl);
-
-  // The plan outlives the stack (the device holds a raw pointer) and is
-  // installed before start(), so the per-class op ordinals it matches are
-  // deterministic for a given (kind, seed, options).
-  flash::FaultPlan plan =
-      flash::FaultPlan::random(seed, opt.expected_write_ops, opt.max_faults);
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->device().install_fault_plan(&plan);
-  if (opt.swallow_io_errors)
-    stack->blk().set_swallow_io_errors_for_test(true);
-  stack->start();
-  api::Vfs vfs(*stack);
-  Oracle oracle;
-  // iolint: detached-owner(run_until() below drives the task; the power
-  // cut discards any survivor before stack/vfs/oracle leave scope)
-  stack->sim().spawn("chk:wl",
-                     workload(stack->volume(0), vfs, "", oracle, opt.wl, g,
-                              seed, /*fault_tolerant=*/true));
-  stack->sim().run_until(crash_at);  // power cut
-
-  res.faults_injected = plan.stats().total();
-  res.io_retries = stack->blk().stats().io_retries;
-  res.io_failures = stack->blk().stats().io_failures;
-
-  const fs::RecoveryReport report =
-      verify_fault_volume(res, stack->volume(0), oracle, g);
-
-  // ---- remount a fresh (fault-free) stack over the recovered image -------
-  // This is the errors=remount-ro repair path: even a volume the journal
-  // abort degraded must recover read-consistent from its last durable
-  // commit and come back fully usable.
-  if (opt.wl.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-  return res;
-}
-
-CrashSweepResult run_fault_crash_sweep(StackKind kind, int points,
-                                       std::uint64_t base_seed,
-                                       const FaultCrashOptions& opt,
-                                       int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("fault:") + core::to_string(kind) +
-          repro_queue_segment(opt.wl.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_fault_crash_check(kind, seed, crash_at, opt);
-      });
-}
-
-// ---- multi-volume node ------------------------------------------------------
-
-MultiVolumeCrashResult run_multi_volume_crash_check(
-    const std::vector<StackKind>& kinds, std::uint64_t seed,
-    sim::SimTime crash_at, const CrashCheckOptions& opt) {
-  BIO_CHECK_MSG(!kinds.empty(), "multi-volume check with zero volumes");
-  MultiVolumeCrashResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-
-  auto make_node_cfg = [&]() {
-    std::vector<core::StackConfig> bases;
-    for (StackKind kind : kinds) bases.push_back(checker_config(kind, opt));
-    return core::NodeConfig::from(bases);
-  };
-  auto prefix_of = [](std::size_t i) {
-    return "/v" + std::to_string(i) + "/";
-  };
-
-  auto node = std::make_unique<core::Stack>(make_node_cfg());
-  node->start();
-  api::Vfs vfs(*node);
-  std::vector<Oracle> oracles(kinds.size());
-  std::vector<Guarantees> gs(kinds.size());
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    gs[i] = guarantees_of(kinds[i]);
-    // Distinct per-volume streams derived from the point seed.
-    const std::uint64_t vseed =
-        seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-    // iolint: detached-owner(run_until() below drives every volume's task;
-    // the power cut discards survivors before node/vfs/oracles leave scope)
-    node->sim().spawn("chk:wl:v" + std::to_string(i),
-                      workload(node->volume(i), vfs, prefix_of(i),
-                               oracles[i], opt, gs[i], vseed));
-  }
-  node->sim().run_until(crash_at);  // one power cut hits every volume
-
-  std::vector<fs::RecoveryReport> reports;
-  reports.reserve(kinds.size());
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    CrashCheckResult r;
-    r.seed = seed;
-    r.crash_at = crash_at;
-    reports.push_back(verify_volume(r, node->volume(i), oracles[i], gs[i]));
-    res.volumes.push_back(std::move(r));
-  }
-
-  // ---- remount a fresh node over the recovered images --------------------
-  if (opt.remount) {
-    auto node2 = std::make_unique<core::Stack>(make_node_cfg());
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      node2->volume(i).fs().mount(reports[i]);
-    node2->start();
-    api::Vfs vfs2(*node2);
-    std::vector<std::string> errs(kinds.size());
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      // iolint: detached-owner(run() below drains every verifier before
-      // vfs2/reports/errs leave scope)
-      node2->sim().spawn(
-          "chk:verify:v" + std::to_string(i),
-          remount_verify(vfs2, prefix_of(i), reports[i], errs[i]));
-    node2->sim().run();
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      if (!errs[i].empty())
-        res.volumes[i].violations.push_back("remount: " + errs[i]);
-  }
-  return res;
-}
-
-// ---- concurrent multi-writer checker ---------------------------------------
-
-namespace {
 
 // Syscall-semantics classification per stack kind — the *claimed* contract
 // (EXT4-OD claims the same acks as EXT4-DR and is expected to break them).
@@ -1047,20 +136,139 @@ std::string describe(const wl::TraceWrite& w) {
   return os.str();
 }
 
-/// Verifies the merged cross-writer contract of one volume against its
-/// ConcurrentTrace; fills `res` and returns the report for remount.
-fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
-                                            core::Volume& vol,
-                                            const wl::ConcurrentTrace& trace,
-                                            StackKind kind) {
+/// BIO_CHK_DEBUG=1 diagnostic dump for a failed write check: where the
+/// block's versions actually ended up (image, FTL mapping, transfer
+/// history, log prefix). This is how the checker's findings get root-caused
+/// down the stack.
+void debug_dump_write(const char* what, const wl::TraceWrite& w,
+                      const flash::StorageDevice::DurableImage& image,
+                      core::Volume& vol) {
+  if (std::getenv("BIO_CHK_DEBUG") == nullptr) return;
+  auto img = image.blocks.find(w.lba);
+  const auto mapped = vol.device().log().mapped_version(w.lba);
+  std::fprintf(stderr, "DBG %s lba=%llu v=%llu image=%lld mapped=%lld\n",
+               what, (unsigned long long)w.lba, (unsigned long long)w.version,
+               img == image.blocks.end() ? -1 : (long long)img->second,
+               mapped.has_value() ? (long long)*mapped : -1);
+  for (const auto& e : vol.device().transfer_history())
+    if (e.lba == w.lba)
+      std::fprintf(stderr, "  xfer v=%llu epoch=%llu order=%llu\n",
+                   (unsigned long long)e.version, (unsigned long long)e.epoch,
+                   (unsigned long long)e.order);
+  std::fprintf(stderr, "  log prefix=%llu appends=%llu cache_dirty=%zu\n",
+               (unsigned long long)vol.device().log().programmed_prefix(),
+               (unsigned long long)vol.device().log().append_count(),
+               vol.device().cache().dirty_count());
+}
+
+/// Captures the durable image, recovers it from the volume's own journal
+/// and fills the recovery facts of `res`.
+struct Recovered {
+  flash::StorageDevice::DurableImage image;
+  fs::RecoveryReport report;
+};
+
+Recovered recover_volume(CrashCheckResult& res, core::Volume& vol) {
+  res.journal_wraps = vol.fs().journal().stats().journal_wraps;
+  res.journal_stalls = vol.fs().journal().stats().journal_stalls;
+  res.checkpoint_flushes = vol.fs().journal().stats().checkpoint_flushes;
+  Recovered r;
+  r.image = vol.device().capture_durable_image();
+  const fs::Recovery recovery(vol.fs().journal(), vol.fs().layout(),
+                              vol.fs().config());
+  r.report = recovery.recover(r.image.blocks);
+  res.files_recovered = r.report.files.size();
+  res.txns_replayed = r.report.txns_replayed;
+  res.txns_discarded = r.report.txns_discarded;
+  res.tail_truncated = r.report.tail_truncated;
+  res.recovery_clean = r.report.clean();
+  if (!r.report.clean())
+    res.violations.push_back(
+        "recovery silently corrupted " +
+        std::to_string(r.report.corrupted_blocks.size()) +
+        " home block(s) (stale log replay under a surviving commit)");
+  return r;
+}
+
+/// Global recovered-namespace consistency — no duplicate or fabricated
+/// names, extents inside the volume's data region, each recovered file over
+/// an extent some workload file owns and under a name that extent actually
+/// carried. Returns the recovered files indexed by extent base (the stable
+/// file identity: every workload keeps an anchor descriptor open all run,
+/// so no extent ever recycles).
+std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
+check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
+                          const fs::RecoveryReport& report,
+                          const std::vector<wl::FileTrace>& files) {
+  auto violation = [&res](const std::string& what) {
+    res.violations.push_back(what);
+  };
+  std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
+      by_extent;
+  std::map<std::string, int> name_count;
+  const Lba data_base = vol.fs().layout().data_base();
+  const Lba data_end = vol.device().profile().geometry.physical_pages();
+  for (const fs::RecoveryReport::RecoveredFile& rf : report.files) {
+    ++res.namespace_facts_checked;
+    if (++name_count[rf.name] > 1)
+      violation("namespace: name " + rf.name + " recovered twice");
+    // Every volume has its own LBA space starting at 0, so a *foreign*
+    // volume's extent can be numerically in range — cross-volume leakage
+    // is caught by the per-volume oracle (ownership + name history + data
+    // versions), not by this range check, which catches extents corrupted
+    // into the journal/inode region or past the device.
+    if (rf.extent_base < data_base ||
+        rf.extent_base + rf.extent_blocks > data_end)
+      violation("namespace: " + rf.name +
+                " recovered with an extent outside this volume's data "
+                "region");
+    if (const auto [pos, inserted] = by_extent.emplace(rf.extent_base, &rf);
+        !inserted)
+      violation("namespace: extent of " + rf.name +
+                " also recovered as " + pos->second->name +
+                " — one file under two names");
+    const wl::FileTrace* owner = nullptr;
+    for (const wl::FileTrace& f : files)
+      if (f.inode != nullptr && f.inode->extent_base == rf.extent_base) {
+        owner = &f;
+        break;
+      }
+    if (owner == nullptr) {
+      violation("namespace: recovered file " + rf.name +
+                " maps to no extent the workload created");
+      continue;
+    }
+    if (std::find(owner->rel_names.begin(), owner->rel_names.end(),
+                  rf.name) == owner->rel_names.end())
+      violation("namespace: " + rf.name +
+                " recovered over an extent that never carried that name");
+  }
+  return by_extent;
+}
+
+/// The oracle: verifies one volume's recovered image against its trace
+/// (DESIGN.md §6.7 maps every fact to the clauses below). Fills `res` and
+/// returns the report for the remount phase.
+fs::RecoveryReport verify_trace(CrashCheckResult& res, core::Volume& vol,
+                                const wl::ConcurrentTrace& trace,
+                                bool faults) {
+  const StackKind kind = vol.kind();
   res.workload_finished = trace.finished();
+  res.volume_degraded = vol.fs().degraded();
+  // Under faults quiescence also requires a live journal and a clean page
+  // cache: an aborted journal never durably commits the writes its failed
+  // transaction covered, and a hard-faulted writeback redirties its page —
+  // fs-level dirt the workload may never have resubmitted.
   res.quiesced = trace.finished() &&
                  vol.device().cache().dirty_count() == 0 &&
-                 vol.device().queue_depth() == 0;
+                 vol.device().queue_depth() == 0 &&
+                 (!faults || (!res.volume_degraded &&
+                              vol.fs().page_cache().dirty_count() == 0));
   res.renames_done = trace.renames;
   res.unlinks_done = trace.unlinks;
   res.fd_cycles = trace.fd_cycles;
   res.closes_during_sync = trace.closes_during_sync;
+  res.syncs_failed = trace.syncs_failed;
 
   Recovered rec = recover_volume(res, vol);
   fs::RecoveryReport& report = rec.report;
@@ -1073,19 +281,18 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
     return it != report.data.end() && it->second >= w.version;
   };
   auto dump = [&](const char* what, const wl::TraceWrite& w) {
-    debug_dump_write(what, PageWrite{w.lba, w.version, 0}, rec.image, vol);
+    debug_dump_write(what, w, rec.image, vol);
   };
 
-  std::vector<NamespaceView> views;
-  views.reserve(trace.files.size());
-  for (const wl::FileTrace& f : trace.files)
-    views.push_back({&f.rel_names, f.inode});
+  if (!faults && (trace.syncs_failed > 0 || res.volume_degraded))
+    violation("a sync failed or the volume degraded on a fault-free run");
+
   const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
+      by_extent = check_recovered_namespace(res, vol, report, trace.files);
 
   constexpr std::uint64_t kNever = ~std::uint64_t{0};
   for (const wl::FileTrace& f : trace.files) {
-    res.syncs_recorded += static_cast<std::uint32_t>(f.syncs.size());
+    res.syncs_recorded += f.syncs.size();
     const fs::RecoveryReport::RecoveredFile* rf = nullptr;
     if (f.inode != nullptr) {
       auto it = by_extent.find(f.inode->extent_base);
@@ -1119,14 +326,14 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
 
     // 1. Acked durability across writers and fds: a write (any writer)
     //    that completed before a durable-ack sync (any fd of the file)
-    //    started must have survived.
+    //    started must have survived — faults or not.
     for (const wl::TraceWrite& w : f.writes) {
       if (w.done_tick < max_ack_start) {
         ++res.acked_pages_checked;
         if (!present(w)) {
           violation(f.rel_name() + " write (" + describe(w) +
                     ") was acked durable but did not survive");
-          dump("conc-acked", w);
+          dump("acked", w);
           if (std::getenv("BIO_CHK_DEBUG") != nullptr)
             for (const wl::TraceSync& s : f.syncs)
               std::fprintf(stderr,
@@ -1139,11 +346,13 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
       }
     }
 
-    // 2. Cross-writer epoch prefix: if any write that started after a
-    //    returned order point survives, every write that completed before
-    //    that order point started must have survived. ready_at(w) is the
-    //    earliest return among order points that started after w
-    //    completed; a surviving write with a later start proves w.
+    // 2. Epoch prefix (off under faults: a bounded retry legally re-lands
+    //    a transiently failed write after later writes): if any write that
+    //    started after a returned order point survives, every write that
+    //    completed before that order point started must have survived.
+    //    ready_at(w) is the earliest return among order points that
+    //    started after w completed; a surviving write with a later start
+    //    proves w.
     // 3. Delayed durability: once the device quiesced, every write some
     //    returned sync covered must be on media.
     std::uint64_t max_surviving_start = 0;
@@ -1151,21 +360,21 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
       if (present(w))
         max_surviving_start = std::max(max_surviving_start, w.start_tick);
     for (const wl::TraceWrite& w : f.writes) {
-      ++res.order_writes_checked;
+      if (!faults) ++res.order_writes_checked;
       std::uint64_t ready_at = kNever;
       for (const wl::TraceSync& s : f.syncs)
         if (call_orders(s.call) && s.start_tick > w.done_tick)
           ready_at = std::min(ready_at, s.done_tick);
       if (present(w)) continue;
-      if (ready_at < max_surviving_start) {
+      if (!faults && ready_at < max_surviving_start) {
         violation(f.rel_name() + " write (" + describe(w) +
                   ") lost although a later write survived past the order "
-                  "point covering it — cross-writer ordering broken");
-        dump("conc-order", w);
+                  "point covering it — ordering broken");
+        dump("order", w);
       } else if (res.quiesced && ready_at != kNever) {
         violation(f.rel_name() + " write (" + describe(w) +
                   ") not durable after quiescence");
-        dump("conc-quiesce", w);
+        dump("quiesce", w);
       }
     }
 
@@ -1186,9 +395,9 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
                   std::to_string(size_floor));
     }
 
-    // 5. Rename durability under contention: once a sync committed the
-    //    rename history up to name_idx_floor, only that or a newer name
-    //    may recover.
+    // 5. Rename durability: once a sync committed the rename history up
+    //    to name_idx_floor, only that or a newer name may recover (a later
+    //    rename may have ridden a group commit).
     if (name_idx_floor > 0 && rf != nullptr) {
       ++res.namespace_facts_checked;
       const auto it =
@@ -1253,166 +462,351 @@ fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
   return report;
 }
 
+/// Remount-phase verification: the recovered image must yield a fully
+/// usable volume behind the fresh node's Vfs.
+sim::Task remount_verify(api::Vfs& vfs, std::string prefix,
+                         const fs::RecoveryReport& report,
+                         std::string& err) {
+  for (const auto& rf : report.files) {
+    api::Result<api::File> r = co_await vfs.open(prefix + rf.name, {});
+    if (!r.ok()) {
+      err = "open(" + prefix + rf.name + ") failed on remount";
+      co_return;
+    }
+    api::File h = r.value();
+    if (h.size_blocks().value() != rf.size_blocks) {
+      err = prefix + rf.name + " remounted with wrong size";
+      co_return;
+    }
+    must(h.close());
+  }
+  // The recovered filesystem must be fully usable: write + full sync.
+  api::OpenOptions oo;
+  oo.create = true;
+  api::Result<api::File> r = co_await vfs.open(prefix + "post-crash", oo);
+  if (!r.ok()) {
+    err = "create failed on remounted stack";
+    co_return;
+  }
+  api::File h = r.value();
+  api::Result<std::uint32_t> w = co_await h.pwrite(0, 2);
+  api::Status s = co_await h.sync_file();
+  if (!w.ok() || !s.ok()) err = "write+sync failed on remounted stack";
+  must(h.close());
+}
+
+/// Sweep crash-instant stream: mostly mid-workload cuts, with a slice of
+/// late cuts exercising the quiesced (delayed-durability) contract.
+class CrashPointGen {
+ public:
+  explicit CrashPointGen(std::uint64_t base_seed)
+      : rng_(base_seed * 7919 + 17) {}
+
+  sim::SimTime next() {
+    return rng_.chance(0.2) ? rng_.uniform(60'000, 300'000) * 1_us
+                            : rng_.uniform(100, 60'000) * 1_us;
+  }
+
+ private:
+  sim::Rng rng_;
+};
+
+/// Records a failed point in both human-readable and machine-replayable
+/// form; the sample line ends with the exact flag that replays the case.
+void note_failure(CrashSweepResult& sweep, const SweepSpec& spec, int point,
+                  std::uint64_t base_seed, const CrashCheckResult& r) {
+  if (sweep.failures.size() < 32)
+    sweep.failures.push_back(
+        {point, r.seed, r.crash_at, r.violations.front()});
+  if (sweep.sample_violations.size() < 8) {
+    std::ostringstream os;
+    os << kinds_tag(spec.volumes) << " seed=" << r.seed
+       << " crash=" << r.crash_at << "ns point=" << point << ": "
+       << r.violations.front();
+    const std::string repro = format_repro(spec, base_seed, point);
+    if (!repro.empty()) os << " (replay: --repro " << repro << ")";
+    sweep.sample_violations.push_back(os.str());
+  }
+}
+
+// ---- --repro grammar helpers ------------------------------------------------
+
+/// Strict decimal: the whole field must be digits (no sign, no trailing
+/// junk, not empty). A silent atoi-style zero would replay a different
+/// case than the one that failed.
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  if (s.empty() || s.size() > 19) return false;
+  out = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return true;
+}
+
+bool parse_kind(std::string_view name, StackKind& out) {
+  for (StackKind k : {StackKind::kExt4DR, StackKind::kExt4OD,
+                      StackKind::kBfsDR, StackKind::kBfsOD,
+                      StackKind::kOptFs}) {
+    if (name == core::to_string(k)) {
+      out = k;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> parts;
+  for (std::size_t pos = 0;;) {
+    const std::size_t next = s.find(sep, pos);
+    parts.push_back(s.substr(pos, next - pos));
+    if (next == std::string_view::npos) return parts;
+    pos = next + 1;
+  }
+}
+
 }  // namespace
 
-CrashCheckResult run_concurrent_crash_check(StackKind kind,
-                                            std::uint64_t seed,
-                                            sim::SimTime crash_at,
-                                            const ConcurrentCrashOptions& opt) {
+CheckCounters& CheckCounters::operator+=(const CheckCounters& o) {
+  files_recovered += o.files_recovered;
+  txns_replayed += o.txns_replayed;
+  txns_discarded += o.txns_discarded;
+  journal_wraps += o.journal_wraps;
+  journal_stalls += o.journal_stalls;
+  checkpoint_flushes += o.checkpoint_flushes;
+  acked_pages_checked += o.acked_pages_checked;
+  order_writes_checked += o.order_writes_checked;
+  namespace_facts_checked += o.namespace_facts_checked;
+  chain_facts_checked += o.chain_facts_checked;
+  syncs_recorded += o.syncs_recorded;
+  renames_done += o.renames_done;
+  unlinks_done += o.unlinks_done;
+  fd_cycles += o.fd_cycles;
+  closes_during_sync += o.closes_during_sync;
+  faults_injected += o.faults_injected;
+  io_retries += o.io_retries;
+  io_failures += o.io_failures;
+  syncs_failed += o.syncs_failed;
+  return *this;
+}
+
+CrashCheckResult run_check(const SweepSpec& spec, std::uint64_t seed,
+                           sim::SimTime crash_at) {
+  BIO_CHECK_MSG(!spec.volumes.empty(), "crash check with zero volumes");
+  BIO_CHECK_MSG(!spec.faults ||
+                    std::holds_alternative<wl::SingleWriterParams>(
+                        spec.workload),
+                "only the single-writer workload tolerates device faults");
+  const std::size_t n = spec.volumes.size();
+  // A node's volumes run distinct streams derived from the point seed.
+  auto seed_of = [&](std::size_t i) {
+    return n == 1 ? seed : seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+  };
+
+  // Plans and traces outlive the node: devices hold raw plan pointers, and
+  // suspended workload frames destroyed at simulator teardown may still
+  // name their trace. Plans install before start(), so the op ordinals
+  // they match are deterministic for a given (spec, seed).
+  std::vector<flash::FaultPlan> plans;
+  plans.reserve(n);
+  std::vector<wl::ConcurrentTrace> traces(n);
+  auto node = make_node(spec);
+  if (spec.faults) {
+    for (std::size_t i = 0; i < n; ++i) {
+      plans.push_back(flash::FaultPlan::random(
+          seed_of(i), spec.faults->expected_write_ops,
+          spec.faults->max_faults));
+      node->volume(i).device().install_fault_plan(&plans.back());
+      if (spec.faults->swallow_io_errors)
+        node->volume(i).blk().set_swallow_io_errors_for_test(true);
+    }
+  }
+  node->start();
+  api::Vfs vfs(*node);
+  for (std::size_t i = 0; i < n; ++i)
+    spawn_workload(spec, node->volume(i), vfs, prefix_of(spec, i),
+                   seed_of(i), traces[i]);
+  node->sim().run_until(crash_at);  // one power cut hits every volume
+
   CrashCheckResult res;
   res.seed = seed;
   res.crash_at = crash_at;
-  const core::StackConfig cfg = checker_config(
-      kind, opt.journal_blocks, opt.wl.extent_blocks, opt.nr_queues);
+  res.volumes.resize(n);
+  std::vector<fs::RecoveryReport> reports;
+  reports.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    CrashCheckResult& v = res.volumes[i];
+    core::Volume& vol = node->volume(i);
+    v.seed = seed;
+    v.crash_at = crash_at;
+    if (spec.faults) v.faults_injected = plans[i].stats().total();
+    v.io_retries = vol.blk().stats().io_retries;
+    v.io_failures = vol.blk().stats().io_failures;
+    reports.push_back(
+        verify_trace(v, vol, traces[i], spec.faults.has_value()));
+  }
 
-  // The trace outlives the stack: suspended writer frames destroyed at
-  // simulator teardown may still name it (they never touch it then, but
-  // the ordering keeps the invariant obvious).
-  wl::ConcurrentTrace trace;
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  wl::ConcurrentWritersParams params = opt.wl;
-  params.seed = seed;
-  wl::spawn_concurrent_writers(stack->volume(0), vfs, "", params, trace);
-  stack->sim().run_until(crash_at);  // power cut
+  // ---- remount a fresh, fault-free node over the recovered images --------
+  // Under faults this is the errors=remount-ro repair path: even a volume
+  // the journal abort degraded must recover read-consistent from its last
+  // durable commit and come back fully usable.
+  auto node2 = make_node(spec);
+  for (std::size_t i = 0; i < n; ++i)
+    node2->volume(i).fs().mount(reports[i]);
+  node2->start();
+  api::Vfs vfs2(*node2);
+  std::vector<std::string> errs(n);
+  for (std::size_t i = 0; i < n; ++i)
+    // iolint: detached-owner(run() below drains every verifier before
+    // vfs2/reports/errs leave scope)
+    node2->sim().spawn(
+        "chk:verify",
+        remount_verify(vfs2, prefix_of(spec, i), reports[i], errs[i]));
+  node2->sim().run();
 
-  const fs::RecoveryReport report =
-      verify_concurrent_volume(res, stack->volume(0), trace, kind);
-
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
+  res.workload_finished = true;
+  res.quiesced = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    CrashCheckResult& v = res.volumes[i];
+    if (!errs[i].empty()) v.violations.push_back("remount: " + errs[i]);
+    res += v;
+    res.workload_finished = res.workload_finished && v.workload_finished;
+    res.quiesced = res.quiesced && v.quiesced;
+    res.tail_truncated = res.tail_truncated || v.tail_truncated;
+    res.recovery_clean = res.recovery_clean && v.recovery_clean;
+    res.volume_degraded = res.volume_degraded || v.volume_degraded;
+    const std::string tag =
+        n == 1 ? std::string()
+               : std::string(core::to_string(spec.volumes[i])) + "@v" +
+                     std::to_string(i) + ": ";
+    for (const std::string& s : v.violations)
+      res.violations.push_back(tag + s);
   }
   return res;
 }
 
-CrashSweepResult run_concurrent_crash_sweep(StackKind kind, int points,
-                                            std::uint64_t base_seed,
-                                            const ConcurrentCrashOptions& opt,
-                                            int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("conc:") + core::to_string(kind) +
-          repro_queue_segment(opt.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_concurrent_crash_check(kind, seed, crash_at, opt);
-      });
+void CrashSweepResult::accumulate(const CrashCheckResult& r) {
+  *this += r;
+  ++points;
+  if (!r.ok()) ++failed_points;
+  if (r.quiesced) ++quiesced_points;
+  if (r.volume_degraded) ++degraded_points;
+  if (volumes.size() < r.volumes.size()) volumes.resize(r.volumes.size());
+  for (std::size_t v = 0; v < r.volumes.size(); ++v)
+    volumes[v].accumulate(r.volumes[v]);
 }
 
-// ---- ring-driven concurrent checker ----------------------------------------
-
-CrashCheckResult run_ring_crash_check(StackKind kind, std::uint64_t seed,
-                                      sim::SimTime crash_at,
-                                      const RingCrashOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const core::StackConfig cfg = checker_config(
-      kind, opt.journal_blocks, opt.wl.extent_blocks, opt.nr_queues);
-
-  // The trace outlives the stack, exactly as in the direct concurrent
-  // check: ring drivers and writer frames destroyed at simulator teardown
-  // may still name it.
-  wl::ConcurrentTrace trace;
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  wl::RingWorkloadParams params = opt.wl;
-  params.seed = seed;
-  wl::spawn_ring_writers(stack->volume(0), vfs, "", params, trace);
-  stack->sim().run_until(crash_at);  // power cut
-
-  const fs::RecoveryReport report =
-      verify_concurrent_volume(res, stack->volume(0), trace, kind);
-
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-  return res;
-}
-
-CrashSweepResult run_ring_crash_sweep(StackKind kind, int points,
-                                      std::uint64_t base_seed,
-                                      const RingCrashOptions& opt, int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("ring:") + core::to_string(kind) +
-          repro_queue_segment(opt.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_ring_crash_check(kind, seed, crash_at, opt);
-      });
-}
-
-MultiVolumeSweepResult run_multi_volume_crash_sweep(
-    const std::vector<StackKind>& kinds, int points, std::uint64_t base_seed,
-    const CrashCheckOptions& opt, int jobs) {
-  MultiVolumeSweepResult sweep;
-  sweep.volumes.resize(kinds.size());
-  if (points <= 0) return sweep;
-  // Same shape as sweep_points, with the per-volume merge inline: serial
-  // instant precompute, parallel point execution, canonical-order fold.
+sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point) {
   CrashPointGen gen(base_seed);
-  std::vector<sim::SimTime> crash_ats(static_cast<std::size_t>(points));
-  for (sim::SimTime& t : crash_ats) t = gen.next();
+  sim::SimTime t = 0;
+  for (int i = 0; i <= point; ++i) t = gen.next();
+  return t;
+}
 
-  std::vector<MultiVolumeCrashResult> results(
-      static_cast<std::size_t>(points));
-  const sim::HostPool hpool(jobs);
+CrashSweepResult run_sweep(const SweepSpec& spec, int points,
+                           std::uint64_t base_seed, int jobs) {
+  CrashSweepResult sweep;
+  if (points <= 0) return sweep;
+  // One serial pass precomputes every crash instant; the points then run
+  // in parallel and fold in canonical order, so accumulate() and
+  // note_failure() see the identical sequence at any jobs value.
+  CrashPointGen gen(base_seed);
+  std::vector<sim::SimTime> crash_at(static_cast<std::size_t>(points));
+  for (sim::SimTime& t : crash_at) t = gen.next();
+
+  std::vector<CrashCheckResult> results(static_cast<std::size_t>(points));
+  const sim::HostPool pool(jobs);
   // iolint: detached-owner(for_each_index joins its workers before
   // returning; the capture cannot outlive this frame)
-  hpool.for_each_index(points, [&](int p) {
-    const auto idx = static_cast<std::size_t>(p);
-    results[idx] = run_multi_volume_crash_check(
-        kinds, base_seed + static_cast<std::uint64_t>(p), crash_ats[idx],
-        opt);
+  pool.for_each_index(points, [&](int i) {
+    const auto idx = static_cast<std::size_t>(i);
+    results[idx] = run_check(spec, base_seed + static_cast<std::uint64_t>(i),
+                             crash_at[idx]);
   });
 
   for (int i = 0; i < points; ++i) {
-    const MultiVolumeCrashResult& res = results[static_cast<std::size_t>(i)];
-    ++sweep.points;
-    bool failed = false;
-    for (std::size_t v = 0; v < kinds.size(); ++v) {
-      const CrashCheckResult& r = res.volumes[v];
-      CrashSweepResult& agg = sweep.volumes[v];
-      agg.accumulate(r);
-      if (!r.ok()) {
-        ++agg.failed_points;
-        failed = true;
-        const std::string tag =
-            std::string(core::to_string(kinds[v])) + "@v" + std::to_string(v);
-        if (sweep.sample_violations.size() < 8) {
-          std::ostringstream os;
-          os << tag << " seed=" << r.seed << " crash=" << r.crash_at
-             << "ns point=" << i << ": " << r.violations.front()
-             << " (replay: --repro node" << repro_queue_segment(opt.nr_queues)
-             << ":" << base_seed << ":" << i << ")";
-          sweep.sample_violations.push_back(os.str());
-        }
-      }
-    }
-    if (failed) ++sweep.failed_points;
+    const CrashCheckResult& res = results[static_cast<std::size_t>(i)];
+    sweep.accumulate(res);
+    if (!res.ok()) note_failure(sweep, spec, i, base_seed, res);
   }
   return sweep;
+}
+
+// ---- --repro lines ----------------------------------------------------------
+
+std::optional<Repro> parse_repro(std::string_view text) {
+  const std::vector<std::string_view> parts = split(text, ':');
+  if (parts.size() < 3 || parts.size() > 5) return std::nullopt;
+  Repro r;
+  std::size_t idx = 1;  // past the form tag
+  if (parts[0] == "node") {
+    // An optional '+'-joined stack list (never starts with 'q'); the bare
+    // form is the historical BFS-DR+EXT4-DR pair.
+    r.spec.volumes = {StackKind::kBfsDR, StackKind::kExt4DR};
+    if (parts.size() - idx > 2 && !parts[idx].starts_with('q')) {
+      r.spec.volumes.clear();
+      for (std::string_view name : split(parts[idx], '+')) {
+        StackKind kind{};
+        if (!parse_kind(name, kind)) return std::nullopt;
+        r.spec.volumes.push_back(kind);
+      }
+      if (r.spec.volumes.size() < 2) return std::nullopt;
+      ++idx;
+    }
+  } else {
+    if (parts[0] == "conc")
+      r.spec.workload = wl::ConcurrentWritersParams{};
+    else if (parts[0] == "ring")
+      r.spec.workload = wl::RingWorkloadParams{};
+    else if (parts[0] == "fault")
+      r.spec.faults = FaultSpec{};
+    else
+      idx = 0;  // plain form: the stack name leads
+    StackKind kind{};
+    if (!parse_kind(parts[idx], kind)) return std::nullopt;
+    r.spec.volumes = {kind};
+    ++idx;
+  }
+  if (parts.size() - idx == 3) {
+    // q<N>: the block layer's queue count, N in [1, 64].
+    std::uint64_t q = 0;
+    const std::string_view seg = parts[idx];
+    if (!seg.starts_with('q') || !parse_u64(seg.substr(1), q) || q < 1 ||
+        q > 64)
+      return std::nullopt;
+    r.spec.nr_queues = static_cast<std::uint32_t>(q);
+    ++idx;
+  }
+  std::uint64_t point = 0;
+  if (parts.size() - idx != 2 || !parse_u64(parts[idx], r.base_seed) ||
+      !parse_u64(parts[idx + 1], point) || point > kMaxReproPoint)
+    return std::nullopt;
+  r.point = static_cast<int>(point);
+  return r;
+}
+
+std::string format_repro(const SweepSpec& spec, std::uint64_t base_seed,
+                         int point) {
+  const bool single =
+      std::holds_alternative<wl::SingleWriterParams>(spec.workload);
+  std::string out;
+  if (spec.volumes.size() > 1) {
+    if (!single || spec.faults) return {};
+    out = "node:";
+  } else if (spec.faults) {
+    if (!single) return {};
+    out = "fault:";
+  } else if (std::holds_alternative<wl::ConcurrentWritersParams>(
+                 spec.workload)) {
+    out = "conc:";
+  } else if (std::holds_alternative<wl::RingWorkloadParams>(spec.workload)) {
+    out = "ring:";
+  }
+  if (spec.volumes.empty()) return {};
+  out += kinds_tag(spec.volumes);
+  if (spec.nr_queues != 1) out += ":q" + std::to_string(spec.nr_queues);
+  return out + ":" + std::to_string(base_seed) + ":" + std::to_string(point);
 }
 
 }  // namespace bio::chk

@@ -1,157 +1,175 @@
-// Full-stack crash-injection checker.
+// Full-stack crash-injection checker: one engine for every sweep flavour.
 //
-// Runs a randomized api::Vfs workload on a freshly assembled IO stack,
-// cuts power at a chosen simulated instant, recovers the durable image
-// through fs::Recovery, remounts a *fresh* stack over the recovered state,
-// and verifies the stack's crash-consistency contract:
+// A SweepSpec names the volumes, the workload, the journal size, the block
+// layer's queue count and an optional device-fault plan. run_check() runs
+// the workload on a freshly assembled node, cuts power at a chosen
+// simulated instant, recovers every volume's durable image from its own
+// journal through fs::Recovery, verifies each volume against its
+// wl::ConcurrentTrace with one tick-based oracle, and remounts a fresh node
+// over the recovered images. run_sweep() repeats that over many (seed,
+// crash instant) points.
+//
+//   flavour | --repro form                     | SweepSpec
+//   --------+----------------------------------+------------------------------
+//   plain   | <stack>[:q<N>]:<base>:<point>    | 1 volume, SingleWriterParams
+//   conc    | conc:<stack>[:q<N>]:...          | 1 volume, ConcurrentWriters
+//   ring    | ring:<stack>[:q<N>]:...          | 1 volume, RingWorkloadParams
+//   fault   | fault:<stack>[:q<N>]:...         | 1 volume, single writer,
+//           |                                  |   faults = FaultSpec{}
+//   node    | node[:<k>+<k>...][:q<N>]:...     | >= 2 volumes, single writer
+//
+// Any other combination (a node running the ring workload, say) runs too;
+// it just has no --repro form.
+//
+// The oracle checks each stack's *claimed* contract, classified per
+// recorded syscall (DESIGN.md §6, §9.1):
 //
 //   stack   | verified guarantees
 //   --------+-----------------------------------------------------------
-//   EXT4-DR | fsync/fdatasync returned => durable; per-file epoch prefix
+//   EXT4-DR | fsync/fdatasync returned => durable; epoch prefix
 //   BFS-DR  | same (fdatabarrier additionally delimits epochs for free)
-//   BFS-OD  | per-file epoch prefix (fdatabarrier/fbarrier order only),
-//           | full durability once the device quiesces
-//   OptFS   | osync epoch prefix + delayed durability (prefix now,
-//           | everything once the device quiesces)
+//   BFS-OD  | epoch prefix (fdatabarrier/fbarrier order only), full
+//           | durability once the device quiesces
+//   OptFS   | osync epoch prefix + delayed durability; dsync data durable
 //   EXT4-OD | *claims* the EXT4-DR contract but runs nobarrier on an
 //           | orderless device — the checker is expected to catch it
 //           | violating (the paper's Fig 1 motivation)
 //
-// plus, on every stack with a working journal, that recovery never has to
-// replay a stale log copy (RecoveryReport::clean()), and — since the
-// workload churns the namespace with unlink()/rename() — that the
-// recovered namespace is consistent: no duplicate or fabricated names, a
-// durably-renamed file only ever recovers under the new (or a newer) name,
-// a durably-unlinked file never reappears.
+// plus, on every stack: recovery never replays a stale log copy
+// (RecoveryReport::clean()); the recovered namespace is consistent (no
+// duplicate or fabricated names, durable renames and unlinks stick); ring
+// chains keep their link order; the recovered image remounts into a fully
+// usable volume; and a fault-free run never sees a sync fail.
 //
-// run_crash_sweep() repeats this over many (seed, crash instant) points;
-// run_multi_volume_crash_check() runs the same oracle per volume of a
-// heterogeneous multi-volume node (one shared simulator, one api::Vfs
-// mount table, N independent journals) and verifies each volume's
-// contract independently — one volume's recovery reads only its own
-// journal. tests/crash_recovery_test.cc drives >= 200 points per stack
-// and examples/crash_consistency.cpp is the CLI for both sweeps.
+// With `faults` set, every point installs a seed-derived flash::FaultPlan
+// on each device. The oracle then drops the epoch-prefix fact (a bounded
+// retry legally re-lands a transiently failed write after later writes)
+// and quiescence also requires a live journal and a clean page cache.
+// Durability facts were only recorded for syncs that returned kOk.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/stack.h"
 #include "sim/time.h"
 #include "wl/concurrent_writers.h"
 #include "wl/ring_workload.h"
+#include "wl/single_writer.h"
 
 namespace bio::chk {
 
-struct CrashCheckOptions {
-  /// Files the workload churns.
-  int files = 4;
-  /// Random operations after setup.
-  int ops = 60;
-  /// Journal size for the scenario (small values force wraps). 0 = stack
-  /// default.
-  std::uint32_t journal_blocks = 256;
-  /// Extent reserved per file (4 KiB pages).
-  std::uint32_t extent_blocks = 64;
-  /// Software submission queues in the block layer (blk-mq). Sweeps run at
-  /// 1 (classic, bit-identical) and 4 (cross-queue epoch fence exercised);
-  /// the value rides in the --repro spec as a `q<N>` segment so multi-queue
-  /// failures replay exactly.
-  std::uint32_t nr_queues = 1;
-  /// Remount a fresh stack over the recovered image and verify it works.
-  bool remount = true;
+/// The workload every volume of the node runs (its `seed` is replaced by
+/// the point's seed).
+using Workload = std::variant<wl::SingleWriterParams,
+                              wl::ConcurrentWritersParams,
+                              wl::RingWorkloadParams>;
+
+/// A seed-derived device fault plan per volume.
+struct FaultSpec {
+  /// Faults drawn per plan (flash::FaultPlan::random upper bound).
+  std::uint32_t max_faults = 4;
+  /// Write-op ordinal range the plan spreads its faults over (roughly the
+  /// device write-command count of a full fault-free single-writer run).
+  std::uint64_t expected_write_ops = 80;
+  /// TEST ONLY: forwards to BlockLayer::set_swallow_io_errors_for_test —
+  /// the deliberate injected bug the sweep must deterministically detect.
+  bool swallow_io_errors = false;
+
+  friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
-struct CrashCheckResult {
-  std::uint64_t seed = 0;
-  sim::SimTime crash_at = 0;
+struct SweepSpec {
+  /// One entry: a root-mounted single volume. More: a node whose volumes
+  /// mount at "/v0/", "/v1/", ... behind one Vfs, each with its own
+  /// journal, workload (distinct seed) and verdict; one cut hits them all.
+  std::vector<core::StackKind> volumes;
+  Workload workload = wl::SingleWriterParams{};
+  /// Journal size (small values force wraps). 0 = stack default.
+  std::uint32_t journal_blocks = 256;
+  /// Block-layer software queues (blk-mq). Sweeps run at 1 and 4.
+  std::uint32_t nr_queues = 1;
+  /// Device faults; only the single-writer workload tolerates them.
+  std::optional<FaultSpec> faults = std::nullopt;
 
-  std::vector<std::string> violations;
-  bool ok() const noexcept { return violations.empty(); }
+  friend bool operator==(const SweepSpec&, const SweepSpec&) = default;
+};
 
-  // Scenario facts (for reporting and targeted assertions).
-  bool workload_finished = false;
-  /// Device + page cache fully drained at the crash instant: everything
-  /// ever synced must have reached media.
-  bool quiesced = false;
-  std::uint32_t files_recovered = 0;
-  std::uint32_t txns_replayed = 0;
-  std::uint32_t txns_discarded = 0;
-  bool tail_truncated = false;
-  bool recovery_clean = true;
+/// The additive facts of a check: per point in CrashCheckResult, summed
+/// over volumes on a node and over points in CrashSweepResult.
+struct CheckCounters {
+  std::uint64_t files_recovered = 0;
+  std::uint64_t txns_replayed = 0;
+  std::uint64_t txns_discarded = 0;
   std::uint64_t journal_wraps = 0;
   std::uint64_t journal_stalls = 0;
   std::uint64_t checkpoint_flushes = 0;
-  std::uint32_t acked_pages_checked = 0;
-  std::uint32_t order_writes_checked = 0;
-  /// Namespace-churn facts verified (rename/unlink durability and
-  /// recovered-namespace consistency).
-  std::uint32_t namespace_facts_checked = 0;
-  /// Namespace ops the workload actually performed.
-  std::uint32_t renames_done = 0;
-  std::uint32_t unlinks_done = 0;
-  // Concurrent-sweep facts (zero on single-writer checks).
-  /// Returned sync syscalls whose promises were verified.
-  std::uint32_t syncs_recorded = 0;
-  /// Descriptor close/reopen cycles the workload performed.
-  std::uint32_t fd_cycles = 0;
-  /// close() calls issued while that fd's sync was still suspended.
-  std::uint32_t closes_during_sync = 0;
-  /// Ring linked-chain contract facts verified (covered-write durability /
-  /// successor-implies-covered ordering; zero on non-ring workloads).
-  std::uint32_t chain_facts_checked = 0;
-  // Fault-injection facts (zero/false on fault-free checks).
-  /// Faults the installed plan actually fired before the cut.
-  std::uint64_t faults_injected = 0;
-  /// Block-layer re-dispatches issued by the bounded retry policy.
-  std::uint64_t io_retries = 0;
-  /// Requests that completed with an error (retries exhausted/hard fault).
-  std::uint64_t io_failures = 0;
-  /// Sync syscalls that returned kIo/kRoFs to the workload.
-  std::uint32_t syncs_failed = 0;
-  /// The journal aborted and degraded the volume read-only before the cut.
-  bool volume_degraded = false;
-};
-
-/// One workload + power cut + recovery + remount + verification pass.
-CrashCheckResult run_crash_check(core::StackKind kind, std::uint64_t seed,
-                                 sim::SimTime crash_at,
-                                 const CrashCheckOptions& opt = {});
-
-struct CrashSweepResult {
-  int points = 0;
-  int failed_points = 0;
-  int quiesced_points = 0;
+  /// Oracle facts verified: writes covered by a durable ack, writes under
+  /// the epoch-prefix rule, namespace facts, ring chain claims, and the
+  /// returned syncs whose promises were checked.
   std::uint64_t acked_pages_checked = 0;
   std::uint64_t order_writes_checked = 0;
   std::uint64_t namespace_facts_checked = 0;
+  std::uint64_t chain_facts_checked = 0;
+  std::uint64_t syncs_recorded = 0;
+  /// Workload behaviour: namespace ops, descriptor close/reopen cycles
+  /// and close() calls racing an in-flight sync.
   std::uint64_t renames_done = 0;
   std::uint64_t unlinks_done = 0;
-  std::uint64_t journal_wraps = 0;
-  std::uint64_t journal_stalls = 0;
-  std::uint32_t files_recovered = 0;
-  std::uint64_t syncs_recorded = 0;
   std::uint64_t fd_cycles = 0;
   std::uint64_t closes_during_sync = 0;
-  std::uint64_t chain_facts_checked = 0;
-  // Fault-sweep aggregates (zero on fault-free sweeps).
+  /// Fault injection: faults fired, block-layer re-dispatches, requests
+  /// that completed with an error, syncs that returned EIO/EROFS.
   std::uint64_t faults_injected = 0;
   std::uint64_t io_retries = 0;
   std::uint64_t io_failures = 0;
   std::uint64_t syncs_failed = 0;
+
+  CheckCounters& operator+=(const CheckCounters& o);
+};
+
+struct CrashCheckResult : CheckCounters {
+  std::uint64_t seed = 0;
+  sim::SimTime crash_at = 0;
+
+  /// On a node each violation is prefixed "<stack>@v<i>: ".
+  std::vector<std::string> violations;
+  bool ok() const noexcept { return violations.empty(); }
+
+  // On a node: true iff true on every volume (volume_degraded and
+  // tail_truncated: on any volume).
+  bool workload_finished = false;
+  /// Device (and, under faults, journal and page cache) fully drained at
+  /// the cut: everything ever synced must have reached media.
+  bool quiesced = false;
+  bool tail_truncated = false;
+  bool recovery_clean = true;
+  /// The journal aborted and degraded the volume read-only before the cut.
+  bool volume_degraded = false;
+
+  /// Per-volume results, index-aligned with SweepSpec::volumes.
+  std::vector<CrashCheckResult> volumes;
+};
+
+struct CrashSweepResult : CheckCounters {
+  int points = 0;
+  int failed_points = 0;
+  int quiesced_points = 0;
   int degraded_points = 0;
-  /// First few violations, with their (seed, crash) context and a
-  /// `--repro` spec (see examples/crash_consistency). The CLI spec replays
-  /// with DEFAULT sweep options; a sweep run with custom options must be
-  /// replayed through run_crash_check / run_concurrent_crash_check with
-  /// the same options and the Failure coordinates below.
+
+  /// First 8 violations with their (seed, crash) context and, where the
+  /// spec has one, the --repro line (examples/crash_consistency). That line
+  /// carries the flavour, stacks and queue count only: a sweep with other
+  /// non-default options replays through run_check with its own spec.
   std::vector<std::string> sample_violations;
 
-  /// Replay coordinates of the first 32 failed points: point index plus
-  /// the derived seed and crash instant. run_crash_check(kind, seed,
-  /// crash_at, <the sweep's options>) — or the concurrent flavour —
-  /// replays exactly that case; `failed_points` holds the true total.
+  /// Replay coordinates of the first 32 failed points: run_check(spec,
+  /// seed, crash_at) replays exactly that case; `failed_points` holds the
+  /// true total.
   struct Failure {
     int point = 0;
     std::uint64_t seed = 0;
@@ -160,182 +178,55 @@ struct CrashSweepResult {
   };
   std::vector<Failure> failures;
 
+  /// Per-volume aggregates, index-aligned with SweepSpec::volumes.
+  std::vector<CrashSweepResult> volumes;
+
   bool ok() const noexcept { return failed_points == 0; }
 
-  /// Folds one crash point's result into the aggregate (points, quiesced
-  /// and every checked-facts counter; failure accounting stays with the
-  /// caller). The single funnel every sweep flavour uses.
+  /// Folds one point's result in (counters, point tallies, per-volume
+  /// aggregates; failure samples stay with run_sweep).
   void accumulate(const CrashCheckResult& r);
 };
 
-/// The crash instant the sweeps derive for `point` under `base_seed` —
-/// exposed so a single failed sweep point can be replayed in isolation
-/// (every sweep flavour draws from this same generator stream).
+/// One workload + power cut + recovery + remount + verification pass.
+CrashCheckResult run_check(const SweepSpec& spec, std::uint64_t seed,
+                           sim::SimTime crash_at);
+
+/// The crash instant run_sweep derives for `point` under `base_seed` (the
+/// point's seed is base_seed + point). Crash instants mix mid-workload cuts
+/// with post-quiescence ones (the delayed-durability cases).
 sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point);
 
-/// Sweeps `points` random (seed, crash instant) combinations derived from
-/// `base_seed`. Crash instants mix mid-workload cuts with post-quiescence
-/// ones (the delayed-durability cases).
-///
-/// Every sweep flavour takes a trailing `jobs` knob, resolved through
+/// Runs `points` checks across up to `jobs` host threads, resolved through
 /// sim::resolve_host_jobs (0 = BIO_SWEEP_JOBS env, else hardware
-/// concurrency; 1 = the legacy serial path). Points run across up to
-/// `jobs` host threads — each point builds its own core::Stack, its seed
-/// and crash instant derive from its index alone, and results fold in
-/// canonical point order, so every jobs value yields a bit-identical
-/// CrashSweepResult (counters, failure coordinates and --repro strings).
-CrashSweepResult run_crash_sweep(core::StackKind kind, int points,
-                                 std::uint64_t base_seed = 1,
-                                 const CrashCheckOptions& opt = {},
-                                 int jobs = 0);
+/// concurrency; 1 = serial). Every point builds its own node and derives
+/// its seed and crash instant from its index alone, and results fold in
+/// canonical point order, so any jobs value yields a bit-identical result.
+CrashSweepResult run_sweep(const SweepSpec& spec, int points,
+                           std::uint64_t base_seed = 1, int jobs = 0);
 
-// ---- fault-injection crash sweep --------------------------------------------
+// ---- --repro lines ----------------------------------------------------------
 
-/// Options for the fault crash sweep: the single-writer workload shape plus
-/// a seed-derived flash::FaultPlan installed on the device before start.
-struct FaultCrashOptions {
-  CrashCheckOptions wl;
-  /// Faults drawn per plan (flash::FaultPlan::random upper bound).
-  std::uint32_t max_faults = 4;
-  /// Write-op ordinal range the plan spreads its faults over (roughly the
-  /// device write-command count the default checker workload generates —
-  /// measured ~70 for a full fault-free run; see FaultPlan::random's
-  /// log-uniform placement for why early ordinals are favoured).
-  std::uint64_t expected_write_ops = 80;
-  /// TEST ONLY: forwards to BlockLayer::set_swallow_io_errors_for_test —
-  /// the deliberate injected bug the sweep must deterministically detect.
-  bool swallow_io_errors = false;
+/// One sweep point as a --repro line names it. The spec carries default
+/// options apart from the flavour, stacks and queue count.
+struct Repro {
+  SweepSpec spec;
+  std::uint64_t base_seed = 0;
+  int point = 0;
 };
 
-/// One fault plan + workload + power cut + recovery + remount pass. The
-/// workload tolerates EIO/EROFS (it stops writing once the volume degrades
-/// read-only) and records durability facts only for syncs that returned
-/// kOk. The oracle then composes fault injection with the power-cut facts:
-///   * acked durability survives faults: a durable-ack sync that returned
-///     kOk covers its data even when earlier IOs failed and were retried;
-///   * a torn/failed journal write never replays as committed (recovery is
-///     clean and stops at the missing evidence);
-///   * an aborted (degraded) volume still recovers read-consistent and
-///     remounts into a fully usable stack.
-/// The in-order epoch-prefix fact is deliberately NOT checked here: a
-/// bounded retry legally re-lands a transiently failed write after later
-/// writes (a retried bio is not ordering-preserved), so ordering-only
-/// stacks have a real hazard window under transient faults.
-CrashCheckResult run_fault_crash_check(core::StackKind kind,
-                                       std::uint64_t seed,
-                                       sim::SimTime crash_at,
-                                       const FaultCrashOptions& opt = {});
+/// Largest point index a --repro line may name.
+inline constexpr int kMaxReproPoint = 1'000'000;
 
-CrashSweepResult run_fault_crash_sweep(core::StackKind kind, int points,
-                                       std::uint64_t base_seed = 1,
-                                       const FaultCrashOptions& opt = {},
-                                       int jobs = 0);
+/// Strict parse of the grammar in the table above: decimal fields (no
+/// sign, no junk), q<N> with N in [1, 64], point <= kMaxReproPoint, node
+/// lists of >= 2 stacks joined by '+'. The bare `node:` form means
+/// BFS-DR+EXT4-DR. nullopt on anything else.
+std::optional<Repro> parse_repro(std::string_view text);
 
-// ---- multi-volume node ------------------------------------------------------
-
-/// One power cut on a node running `kinds.size()` volumes behind one Vfs
-/// mount table ("/v0/...", "/v1/...): each volume runs its own randomized
-/// workload (distinct seed), the cut hits all of them at once, and every
-/// volume is recovered from its own journal and verified against its own
-/// kind's contract.
-struct MultiVolumeCrashResult {
-  std::uint64_t seed = 0;
-  sim::SimTime crash_at = 0;
-  /// Per-volume results, index-aligned with the `kinds` argument.
-  std::vector<CrashCheckResult> volumes;
-
-  bool ok() const noexcept {
-    for (const CrashCheckResult& v : volumes)
-      if (!v.ok()) return false;
-    return true;
-  }
-};
-
-MultiVolumeCrashResult run_multi_volume_crash_check(
-    const std::vector<core::StackKind>& kinds, std::uint64_t seed,
-    sim::SimTime crash_at, const CrashCheckOptions& opt = {});
-
-/// Sweep aggregate with per-volume breakdown (index-aligned with `kinds`).
-struct MultiVolumeSweepResult {
-  int points = 0;
-  int failed_points = 0;
-  std::vector<CrashSweepResult> volumes;
-  std::vector<std::string> sample_violations;
-
-  bool ok() const noexcept { return failed_points == 0; }
-};
-
-MultiVolumeSweepResult run_multi_volume_crash_sweep(
-    const std::vector<core::StackKind>& kinds, int points,
-    std::uint64_t base_seed = 1, const CrashCheckOptions& opt = {},
-    int jobs = 0);
-
-// ---- concurrent multi-writer sweep ------------------------------------------
-
-/// Options for the shared-inode concurrent sweep: N writer coroutines over
-/// one volume through independent fds (wl::spawn_concurrent_writers), with
-/// the per-writer observations merged into one cross-writer contract.
-struct ConcurrentCrashOptions {
-  wl::ConcurrentWritersParams wl;
-  /// Journal size (small values force wraps under the churn). 0 = default.
-  std::uint32_t journal_blocks = 256;
-  /// Block-layer software queues (see CrashCheckOptions::nr_queues).
-  std::uint32_t nr_queues = 1;
-  bool remount = true;
-};
-
-/// One concurrent workload + power cut + recovery + remount + cross-writer
-/// verification pass. The verified contract, per stack kind:
-///   * acked durability per syncing fd: a write that completed before a
-///     durable-ack sync (fsync/fdatasync on EXT4/BFS, dsync's data on
-///     OptFS) started must survive once that sync returned — regardless of
-///     which writer wrote and which fd synced;
-///   * cross-writer epoch prefix: if a write that started after a returned
-///     sync survives, every write (any writer) that completed before that
-///     sync started survives — racing writes are constrained by neither
-///     side;
-///   * delayed durability at quiescence, and the PR 4 namespace facts
-///     (durable renames stick, durable unlinks stay gone, nothing
-///     fabricated) under rename/unlink contention.
-CrashCheckResult run_concurrent_crash_check(
-    core::StackKind kind, std::uint64_t seed, sim::SimTime crash_at,
-    const ConcurrentCrashOptions& opt = {});
-
-CrashSweepResult run_concurrent_crash_sweep(
-    core::StackKind kind, int points, std::uint64_t base_seed = 1,
-    const ConcurrentCrashOptions& opt = {}, int jobs = 0);
-
-// ---- ring-driven concurrent sweep -------------------------------------------
-
-/// Options for the api::Ring variant of the concurrent sweep: N writers
-/// each batching linked chains and unlinked sqes through their own Ring
-/// (wl::spawn_ring_writers), verified by the same cross-writer oracle plus
-/// the linked-chain contract (TraceSync::chain_covered/chain_successors).
-struct RingCrashOptions {
-  wl::RingWorkloadParams wl;
-  /// Journal size (small values force wraps under the churn). 0 = default.
-  std::uint32_t journal_blocks = 256;
-  /// Block-layer software queues (see CrashCheckOptions::nr_queues).
-  std::uint32_t nr_queues = 1;
-  bool remount = true;
-};
-
-/// One ring workload + power cut + recovery + remount + verification pass.
-/// On top of the concurrent contract, verifies per recorded chain sync:
-///   * durable-ack chains: every write linked before a returned
-///     fsync/fdatasync survived (EXT4/BFS; dsync-only on OptFS);
-///   * chain ordering: a surviving write linked *after* the sync proves
-///     every write linked before it — claims derived from the submission
-///     structure, so a link-ignoring ring produces violations;
-///   * chain delayed durability at quiescence for order-only syncs.
-CrashCheckResult run_ring_crash_check(core::StackKind kind,
-                                      std::uint64_t seed,
-                                      sim::SimTime crash_at,
-                                      const RingCrashOptions& opt = {});
-
-CrashSweepResult run_ring_crash_sweep(core::StackKind kind, int points,
-                                      std::uint64_t base_seed = 1,
-                                      const RingCrashOptions& opt = {},
-                                      int jobs = 0);
+/// The --repro line for point `point` of run_sweep(spec, ..., base_seed);
+/// empty when the spec's flavour has no --repro form.
+std::string format_repro(const SweepSpec& spec, std::uint64_t base_seed,
+                         int point);
 
 }  // namespace bio::chk

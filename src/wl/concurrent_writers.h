@@ -15,10 +15,11 @@
 // carries logical ticks from one per-run monotone counter, so a checker can
 // reconstruct the cross-writer happens-before order (which writes completed
 // before which sync started, which started only after it returned) without
-// assuming anything about operations that raced each other. That trace is
-// the input to chk::run_concurrent_crash_check's merged cross-writer oracle;
-// the bench driver (run_concurrent_writers) runs the same workload for
-// wall-clock cost and ignores the trace content.
+// assuming anything about operations that raced each other. The single-
+// writer and ring workloads record into the same trace, and it is the one
+// input of chk's crash oracle (chk::run_check); the bench driver
+// (run_concurrent_writers) runs the same workload for wall-clock cost and
+// ignores the trace content.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,9 @@ struct ConcurrentWritersParams {
   /// close/reopen descriptors mid-run, including close() while that fd's
   /// sync is still suspended (the fd-lifecycle edge).
   bool fd_churn = true;
+
+  friend bool operator==(const ConcurrentWritersParams&,
+                         const ConcurrentWritersParams&) = default;
 };
 
 /// One completed buffered write as the trace remembers it. `version` is the
@@ -130,6 +134,9 @@ struct ConcurrentTrace {
   std::uint32_t fd_cycles = 0;
   /// close() calls issued while that fd's sync was still suspended.
   std::uint32_t closes_during_sync = 0;
+  /// Syncs that returned EIO/EROFS (recorded as no promise). Only the
+  /// single-writer workload tolerates them; the others abort on any error.
+  std::uint32_t syncs_failed = 0;
 
   bool finished() const noexcept {
     return writers_total > 0 && writers_finished == writers_total;

@@ -50,6 +50,9 @@ struct RingWorkloadParams {
   /// TEST ONLY: run every ring with link flags ignored — the deliberate
   /// ordering bug whose violations the crash oracle must catch.
   bool ignore_links = false;
+
+  friend bool operator==(const RingWorkloadParams&,
+                         const RingWorkloadParams&) = default;
 };
 
 /// Spawns the setup task (creates + settles the namespace, then spawns the

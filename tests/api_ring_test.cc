@@ -391,11 +391,14 @@ TEST(RingTest, BatchedSubmissionBeatsSerialAwaitsAtQd8) {
 
 // ---- 8. ring-driven concurrent crash sweep ---------------------------------
 
+chk::SweepSpec ring_spec(StackKind kind, wl::RingWorkloadParams wl = {}) {
+  return {.volumes = {kind}, .workload = wl};
+}
+
 class RingCrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(RingCrashSweepTest, LinkedChainContractHoldsAcross200Points) {
-  const chk::CrashSweepResult r =
-      chk::run_ring_crash_sweep(GetParam(), 200);
+  const chk::CrashSweepResult r = chk::run_sweep(ring_spec(GetParam()), 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
   EXPECT_GT(r.quiesced_points, 0) << "no post-quiescence crash points";
@@ -425,7 +428,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RingCrashSweepTest, NobarrierStackFailsUnderRingWorkload) {
   const chk::CrashSweepResult r =
-      chk::run_ring_crash_sweep(StackKind::kExt4OD, 120);
+      chk::run_sweep(ring_spec(StackKind::kExt4OD), 120);
   EXPECT_GT(r.failed_points, 0)
       << "the nobarrier stack survived 120 ring-driven power cuts — "
          "checker too weak";
@@ -433,7 +436,7 @@ TEST(RingCrashSweepTest, NobarrierStackFailsUnderRingWorkload) {
   const chk::CrashSweepResult::Failure& f = r.failures.front();
   EXPECT_EQ(f.crash_at, chk::sweep_crash_at(1, f.point));
   const chk::CrashCheckResult replay =
-      chk::run_ring_crash_check(StackKind::kExt4OD, f.seed, f.crash_at);
+      chk::run_check(ring_spec(StackKind::kExt4OD), f.seed, f.crash_at);
   EXPECT_FALSE(replay.ok()) << "failed point did not replay";
   EXPECT_EQ(replay.violations.front(), f.first_violation);
 }
@@ -444,9 +447,8 @@ TEST(RingCrashSweepTest, NobarrierStackFailsUnderRingWorkload) {
 // actually bites.
 TEST(RingCrashSweepTest, InjectedLinkIgnoringBugIsCaught) {
   for (const StackKind kind : {StackKind::kExt4DR, StackKind::kBfsDR}) {
-    chk::RingCrashOptions opt;
-    opt.wl.ignore_links = true;
-    const chk::CrashSweepResult r = chk::run_ring_crash_sweep(kind, 80, 1, opt);
+    const chk::CrashSweepResult r =
+        chk::run_sweep(ring_spec(kind, {.ignore_links = true}), 80);
     EXPECT_GT(r.failed_points, 0)
         << core::to_string(kind)
         << ": link-ignoring ring survived 80 power cuts — the chain "

@@ -22,8 +22,13 @@ namespace bio {
 namespace {
 
 using chk::CrashSweepResult;
-using chk::FaultCrashOptions;
+using chk::FaultSpec;
+using chk::SweepSpec;
 using core::StackKind;
+
+SweepSpec fault_spec(StackKind kind, FaultSpec faults = {}) {
+  return {.volumes = {kind}, .faults = faults};
+}
 
 std::string join(const std::vector<CrashSweepResult::Failure>& v) {
   std::string out;
@@ -40,7 +45,7 @@ std::string join(const std::vector<CrashSweepResult::Failure>& v) {
 class FaultCrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(FaultCrashSweepTest, FaultOracleHoldsAcross200Points) {
-  const CrashSweepResult r = chk::run_fault_crash_sweep(GetParam(), 200);
+  const CrashSweepResult r = chk::run_sweep(fault_spec(GetParam()), 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.failures);
   // The sweep must actually exercise the fault machinery, not tiptoe
@@ -70,10 +75,10 @@ INSTANTIATE_TEST_SUITE_P(
 // re-enter a later epoch and void the ordering contract).
 TEST(FaultCrashSweepTest, RetryPathsSplitByDeviceClass) {
   const CrashSweepResult legacy =
-      chk::run_fault_crash_sweep(StackKind::kExt4DR, 100);
+      chk::run_sweep(fault_spec(StackKind::kExt4DR), 100);
   EXPECT_GT(legacy.io_retries, 20u) << "blk bounded retry went dark";
   const CrashSweepResult barrier =
-      chk::run_fault_crash_sweep(StackKind::kBfsDR, 100);
+      chk::run_sweep(fault_spec(StackKind::kBfsDR), 100);
   EXPECT_EQ(barrier.io_retries, 0u)
       << "host-side retry on a barrier device breaks epoch ordering";
 }
@@ -85,7 +90,7 @@ TEST(FaultNobarrierTest, LegacyNobarrierStackViolatesUnderFaults) {
   // the fault sweep exactly as it does under the plain crash sweep; the
   // oracle must keep catching it deterministically.
   const CrashSweepResult r =
-      chk::run_fault_crash_sweep(StackKind::kExt4OD, 200);
+      chk::run_sweep(fault_spec(StackKind::kExt4OD), 200);
   EXPECT_GT(r.failed_points, 0)
       << "EXT4-OD passed a 200-point fault sweep; the oracle went blind";
 }
@@ -96,10 +101,8 @@ TEST(FaultNegativeTest, SwallowedIoErrorsAreDetected) {
   // BlockLayer::set_swallow_io_errors_for_test completes failed requests
   // as successes — acked data silently never lands. The sweep must notice
   // deterministically (same seeds as the clean sweep, which passes).
-  FaultCrashOptions opt;
-  opt.swallow_io_errors = true;
-  const CrashSweepResult r =
-      chk::run_fault_crash_sweep(StackKind::kExt4DR, 20, 1, opt);
+  const CrashSweepResult r = chk::run_sweep(
+      fault_spec(StackKind::kExt4DR, {.swallow_io_errors = true}), 20);
   EXPECT_GT(r.failed_points, 0)
       << "swallowed EIO went undetected: the oracle is not load-bearing";
 }

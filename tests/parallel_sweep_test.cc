@@ -1,11 +1,12 @@
 // Determinism regression net for the parallel sweep driver (DESIGN.md
-// §13): every sweep flavour run at jobs=1 (the legacy serial path — no
-// thread is spawned) and jobs=8 over the same base seed must produce a
-// bit-identical CrashSweepResult — every aggregate counter, the failure
-// coordinates (point / derived seed / crash instant / first violation)
-// and the --repro sample strings. Seed partitioning is by point index and
-// results merge in canonical point order, so any divergence here means a
-// worker leaked execution-order-dependent state into a result.
+// §13): every sweep flavour run at jobs=1 (the serial path — no thread is
+// spawned) and jobs=8 over the same base seed must produce a bit-identical
+// CrashSweepResult — every aggregate counter, the failure coordinates
+// (point / derived seed / crash instant / first violation), the --repro
+// sample strings and the per-volume aggregates. Seed partitioning is by
+// point index and results merge in canonical point order, so any divergence
+// here means a worker leaked execution-order-dependent state into a
+// result.
 //
 // Also covers sim::resolve_host_jobs: clamping, the BIO_SWEEP_JOBS ctest
 // hook and its strict-decimal parse (garbage must fall through to
@@ -25,6 +26,7 @@ namespace bio {
 namespace {
 
 using chk::CrashSweepResult;
+using chk::SweepSpec;
 using core::StackKind;
 
 /// Field-by-field equality with a readable failure message; EXPECT_EQ on
@@ -65,6 +67,15 @@ void expect_identical(const CrashSweepResult& serial,
             parallel.sample_violations.size());
   for (std::size_t i = 0; i < serial.sample_violations.size(); ++i)
     EXPECT_EQ(serial.sample_violations[i], parallel.sample_violations[i]);
+  ASSERT_EQ(serial.volumes.size(), parallel.volumes.size());
+  for (std::size_t v = 0; v < serial.volumes.size(); ++v)
+    expect_identical(serial.volumes[v], parallel.volumes[v]);
+}
+
+void expect_jobs_invariant(const SweepSpec& spec, int points,
+                           std::uint64_t base) {
+  expect_identical(chk::run_sweep(spec, points, base, 1),
+                   chk::run_sweep(spec, points, base, 8));
 }
 
 // Small but non-trivial sweeps: enough points that jobs=8 actually fans
@@ -73,41 +84,35 @@ constexpr int kPoints = 24;
 constexpr std::uint64_t kBase = 7;
 
 TEST(ParallelSweepDeterminism, SingleWriterSweep) {
-  expect_identical(
-      chk::run_crash_sweep(StackKind::kBfsDR, kPoints, kBase, {}, 1),
-      chk::run_crash_sweep(StackKind::kBfsDR, kPoints, kBase, {}, 8));
+  expect_jobs_invariant({.volumes = {StackKind::kBfsDR}}, kPoints, kBase);
 }
 
 TEST(ParallelSweepDeterminism, ConcurrentSweep) {
-  expect_identical(
-      chk::run_concurrent_crash_sweep(StackKind::kExt4DR, kPoints, kBase, {},
-                                      1),
-      chk::run_concurrent_crash_sweep(StackKind::kExt4DR, kPoints, kBase, {},
-                                      8));
+  expect_jobs_invariant({.volumes = {StackKind::kExt4DR},
+                         .workload = wl::ConcurrentWritersParams{}},
+                        kPoints, kBase);
 }
 
 TEST(ParallelSweepDeterminism, RingSweep) {
-  expect_identical(
-      chk::run_ring_crash_sweep(StackKind::kBfsOD, kPoints, kBase, {}, 1),
-      chk::run_ring_crash_sweep(StackKind::kBfsOD, kPoints, kBase, {}, 8));
+  expect_jobs_invariant(
+      {.volumes = {StackKind::kBfsOD}, .workload = wl::RingWorkloadParams{}},
+      kPoints, kBase);
 }
 
 TEST(ParallelSweepDeterminism, FaultSweep) {
-  expect_identical(
-      chk::run_fault_crash_sweep(StackKind::kOptFs, kPoints, kBase, {}, 1),
-      chk::run_fault_crash_sweep(StackKind::kOptFs, kPoints, kBase, {}, 8));
+  expect_jobs_invariant(
+      {.volumes = {StackKind::kOptFs}, .faults = chk::FaultSpec{}}, kPoints,
+      kBase);
 }
 
 // The failure-path half of the contract: a sweep that actually fails must
 // report identical failure coordinates and --repro strings at any jobs
 // value. The swallowed-EIO negative control fails deterministically.
 TEST(ParallelSweepDeterminism, FailingSweepCoordinates) {
-  chk::FaultCrashOptions swallow;
-  swallow.swallow_io_errors = true;
-  const CrashSweepResult serial = chk::run_fault_crash_sweep(
-      StackKind::kExt4DR, 20, 1, swallow, 1);
-  const CrashSweepResult parallel = chk::run_fault_crash_sweep(
-      StackKind::kExt4DR, 20, 1, swallow, 8);
+  const SweepSpec swallow{.volumes = {StackKind::kExt4DR},
+                          .faults = chk::FaultSpec{.swallow_io_errors = true}};
+  const CrashSweepResult serial = chk::run_sweep(swallow, 20, 1, 1);
+  const CrashSweepResult parallel = chk::run_sweep(swallow, 20, 1, 8);
   ASSERT_GT(serial.failed_points, 0)
       << "negative control stopped failing — the comparison is vacuous";
   EXPECT_FALSE(serial.failures.empty());
@@ -116,21 +121,8 @@ TEST(ParallelSweepDeterminism, FailingSweepCoordinates) {
 }
 
 TEST(ParallelSweepDeterminism, MultiVolumeSweep) {
-  const std::vector<StackKind> kinds = {StackKind::kBfsDR,
-                                        StackKind::kExt4DR};
-  const chk::MultiVolumeSweepResult serial =
-      chk::run_multi_volume_crash_sweep(kinds, kPoints, kBase, {}, 1);
-  const chk::MultiVolumeSweepResult parallel =
-      chk::run_multi_volume_crash_sweep(kinds, kPoints, kBase, {}, 8);
-  EXPECT_EQ(serial.points, parallel.points);
-  EXPECT_EQ(serial.failed_points, parallel.failed_points);
-  ASSERT_EQ(serial.volumes.size(), parallel.volumes.size());
-  for (std::size_t v = 0; v < serial.volumes.size(); ++v)
-    expect_identical(serial.volumes[v], parallel.volumes[v]);
-  ASSERT_EQ(serial.sample_violations.size(),
-            parallel.sample_violations.size());
-  for (std::size_t i = 0; i < serial.sample_violations.size(); ++i)
-    EXPECT_EQ(serial.sample_violations[i], parallel.sample_violations[i]);
+  expect_jobs_invariant({.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}},
+                        kPoints, kBase);
 }
 
 // ---- jobs resolution --------------------------------------------------------
@@ -221,8 +213,8 @@ TEST(FramePool, AggregateFoldsRetiredWorkerStats) {
   // iolint: detached-owner(for_each_index joins its workers before
   // returning; the capture cannot outlive this frame)
   pool.for_each_index(4, [](int i) {
-    chk::run_crash_check(StackKind::kBfsDR,
-                         static_cast<std::uint64_t>(i) + 1, 5'000'000);
+    chk::run_check({.volumes = {StackKind::kBfsDR}},
+                   static_cast<std::uint64_t>(i) + 1, 5'000'000);
   });
   const sim::FramePoolStats after = sim::frame_pool_aggregate_stats();
   EXPECT_GT(after.allocs, before.allocs)
