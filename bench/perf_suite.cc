@@ -90,20 +90,25 @@ namespace {
 
 enum class Mode { kFullSync, kFdatabarrier, kBuffered };
 
-struct ScenarioResult {
-  std::string name;
+/// What a scenario body reports about its measured window.
+struct Outcome {
   std::uint64_t ops = 0;
+  /// Simulated throughput, for the scenarios whose signal it is.
+  double sim_ops_per_sec = 0.0;
+  /// Sharded (multi-volume) scenarios only: per-volume *simulated*
+  /// throughput — the volume-scaling signal, next to the wall-clock cost.
+  std::vector<double> volume_ops_per_sec{};
+};
+
+/// A scenario's outcome plus what measure() counted over its window.
+struct ScenarioResult : Outcome {
+  std::string name;
   std::uint64_t sim_ios = 0;
   std::uint64_t requests = 0;
   std::uint64_t events = 0;
   double wall_ns = 0.0;
   std::uint64_t global_allocs = 0;
   blk::RequestPool::Stats pool;
-  /// Sharded (multi-volume) scenarios only: per-volume *simulated*
-  /// throughput — the volume-scaling signal, next to the wall-clock cost.
-  std::uint32_t volumes = 0;
-  double sim_ops_per_sec = 0.0;
-  std::vector<double> volume_ops_per_sec;
 
   double ns_per_io() const { return sim_ios ? wall_ns / double(sim_ios) : 0; }
   double ns_per_op() const { return ops ? wall_ns / double(ops) : 0; }
@@ -118,9 +123,66 @@ struct ScenarioResult {
   }
 };
 
-std::uint64_t dev_ios(core::Stack& s) {
-  const auto& d = s.device().stats();
-  return d.writes + d.reads + d.flushes;
+/// The one measure-and-time harness. `body(open_window)` runs a scenario
+/// and calls `open_window()` once the setup it excludes (prefill, the
+/// fxmark setup phase) is done. The window spans from there to the body's
+/// return: the harness snapshots device IOs, submitted requests and pool
+/// stats summed over `layers` (each block layer and its device), plus
+/// `sim`'s dispatched events, the global allocation count and the wall
+/// clock, and reports the differences.
+template <typename Body>
+ScenarioResult measure(const char* name, const sim::Simulator& sim,
+                       const std::vector<blk::BlockLayer*>& layers,
+                       Body&& body) {
+  struct Counters {
+    std::uint64_t sim_ios = 0;
+    std::uint64_t requests = 0;
+    std::uint64_t events = 0;
+    std::uint64_t allocs = 0;
+    blk::RequestPool::Stats pool;
+  };
+  auto counters = [&] {
+    Counters c;
+    for (blk::BlockLayer* b : layers) {
+      const auto& d = b->device().stats();
+      c.sim_ios += d.writes + d.reads + d.flushes;
+      c.requests += b->stats().submitted;
+      c.pool += b->pool().stats();
+    }
+    c.events = sim.events_dispatched();
+    c.allocs = g_new_calls;
+    return c;
+  };
+  Counters start;
+  Clock::time_point t0{};
+  const std::function<void()> open_window = [&] {
+    start = counters();
+    t0 = Clock::now();
+  };
+  Outcome out = body(open_window);
+  const auto t1 = Clock::now();
+  const Counters end = counters();
+
+  ScenarioResult r;
+  static_cast<Outcome&>(r) = std::move(out);
+  r.name = name;
+  r.sim_ios = end.sim_ios - start.sim_ios;
+  r.requests = end.requests - start.requests;
+  r.events = end.events - start.events;
+  r.wall_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  r.global_allocs = end.allocs - start.allocs;
+  r.pool = end.pool;
+  r.pool -= start.pool;
+  return r;
+}
+
+/// Every volume's block layer (one for a single-volume stack).
+std::vector<blk::BlockLayer*> block_layers(core::Stack& s) {
+  std::vector<blk::BlockLayer*> out;
+  for (std::size_t v = 0; v < s.volume_count(); ++v)
+    out.push_back(&s.volume(v).blk());
+  return out;
 }
 
 ScenarioResult run_scenario(const char* name, core::StackKind kind, Mode mode,
@@ -148,10 +210,8 @@ ScenarioResult run_scenario(const char* name, core::StackKind kind, Mode mode,
       }
     }
   };
-  stack->sim().spawn("setup", setup());
-  stack->sim().run();
 
-  auto body = [&]() -> sim::Task {
+  auto app = [&]() -> sim::Task {
     for (std::uint64_t i = 0; i < ops; ++i) {
       api::File& f = files[i % nfiles];
       const std::uint32_t page =
@@ -170,34 +230,23 @@ ScenarioResult run_scenario(const char* name, core::StackKind kind, Mode mode,
     }
   };
 
-  ScenarioResult r;
-  r.name = name;
-  r.ops = ops;
-  const std::uint64_t ios0 = dev_ios(*stack);
-  const std::uint64_t sub0 = stack->blk().stats().submitted;
-  const std::uint64_t ev0 = stack->sim().events_dispatched();
-  const blk::RequestPool::Stats pool0 = stack->blk().pool().stats();
-  const std::uint64_t alloc0 = g_new_calls;
-  const auto t0 = Clock::now();
-  stack->sim().spawn("app", body());
-  stack->sim().run();
-  r.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  r.sim_ios = dev_ios(*stack) - ios0;
-  r.requests = stack->blk().stats().submitted - sub0;
-  r.events = stack->sim().events_dispatched() - ev0;
-  r.global_allocs = g_new_calls - alloc0;
-  r.pool = stack->blk().pool().stats();
-  r.pool -= pool0;
-  return r;
+  return measure(name, stack->sim(), block_layers(*stack),
+                 [&](const std::function<void()>& open_window) {
+                   stack->sim().spawn("setup", setup());
+                   stack->sim().run();
+                   open_window();
+                   stack->sim().spawn("app", app());
+                   stack->sim().run();
+                   return Outcome{.ops = ops};
+                 });
 }
 
 /// Sharded DWSL over a node of `nvolumes` BFS-DR volumes. Callers pass a
 /// core count that *scales with the volume count* (weak scaling: enough
 /// writers per volume to saturate one journal), so volume_ops_per_sec
 /// isolates per-journal commit saturation while total throughput tracks
-/// the volume count.
+/// the volume count. The window opens at the workload's hook, after its
+/// setup phase, so the rows measure only the striped-writer phase.
 ScenarioResult run_sharded_scenario(const char* name, std::uint32_t nvolumes,
                                     std::uint32_t cores,
                                     std::uint32_t writes_per_thread) {
@@ -205,55 +254,17 @@ ScenarioResult run_sharded_scenario(const char* name, std::uint32_t nvolumes,
       nvolumes, core::StackConfig::make(core::StackKind::kBfsDR,
                                         flash::DeviceProfile::plain_ssd()));
   auto node = std::make_unique<core::Stack>(core::NodeConfig::from(bases));
-
-  ScenarioResult r;
-  r.name = name;
-  r.volumes = nvolumes;
-  // Baselines snapshot at the hook — after the workload's setup phase —
-  // so the sharded rows measure only the striped-writer phase, exactly as
-  // run_scenario excludes its own setup.
-  struct IoTotals {
-    std::uint64_t sim_ios = 0;
-    std::uint64_t requests = 0;
-    blk::RequestPool::Stats pool;
-  };
-  auto node_io_totals = [&node, nvolumes] {
-    IoTotals t;
-    for (std::uint32_t v = 0; v < nvolumes; ++v) {
-      core::Volume& vol = node->volume(v);
-      const auto& d = vol.device().stats();
-      t.sim_ios += d.writes + d.reads + d.flushes;
-      t.requests += vol.blk().stats().submitted;
-      t.pool += vol.blk().pool().stats();
-    }
-    return t;
-  };
-  IoTotals base;
-  std::uint64_t ev0 = 0;
-  std::uint64_t alloc0 = 0;
-  Clock::time_point t0{};
-  const wl::ShardedFxmarkResult res = wl::run_fxmark_dwsl_sharded(
-      *node, {.cores = cores, .writes_per_thread = writes_per_thread}, [&] {
-        base = node_io_totals();
-        ev0 = node->sim().events_dispatched();
-        alloc0 = g_new_calls;
-        t0 = Clock::now();
+  return measure(
+      name, node->sim(), block_layers(*node),
+      [&](const std::function<void()>& open_window) {
+        wl::ShardedFxmarkResult res = wl::run_fxmark_dwsl_sharded(
+            *node, {.cores = cores, .writes_per_thread = writes_per_thread},
+            open_window);
+        return Outcome{
+            .ops = res.ops_done,
+            .sim_ops_per_sec = res.elapsed > 0 ? res.ops_per_sec : 0.0,
+            .volume_ops_per_sec = std::move(res.volume_ops_per_sec)};
       });
-  r.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  r.ops = res.ops_done;
-  r.events = node->sim().events_dispatched() - ev0;
-  r.global_allocs = g_new_calls - alloc0;
-  const IoTotals total = node_io_totals();
-  r.sim_ios = total.sim_ios - base.sim_ios;
-  r.requests = total.requests - base.requests;
-  r.pool = total.pool;
-  r.pool -= base.pool;
-  if (res.elapsed > 0)
-    r.sim_ops_per_sec = res.ops_per_sec;
-  r.volume_ops_per_sec = res.volume_ops_per_sec;
-  return r;
 }
 
 /// Shared-inode multi-writer workload (wl::run_concurrent_writers) on one
@@ -266,26 +277,16 @@ ScenarioResult run_concurrent_scenario(const char* name,
   auto stack = std::make_unique<core::Stack>(
       core::StackConfig::make(core::StackKind::kBfsDR,
                               flash::DeviceProfile::plain_ssd()));
-  ScenarioResult r;
-  r.name = name;
-  const std::uint64_t ev0 = stack->sim().events_dispatched();
-  const std::uint64_t alloc0 = g_new_calls;
-  const auto t0 = Clock::now();
   wl::ConcurrentWritersParams p;
   p.writers = writers;
   p.ops_per_writer = ops_per_writer;
-  const wl::ConcurrentWritersResult res =
-      wl::run_concurrent_writers(*stack, p);
-  r.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  r.ops = res.ops_done + res.syncs_done;
-  r.sim_ios = dev_ios(*stack);
-  r.requests = stack->blk().stats().submitted;
-  r.events = stack->sim().events_dispatched() - ev0;
-  r.global_allocs = g_new_calls - alloc0;
-  r.pool = stack->blk().pool().stats();
-  return r;
+  return measure(name, stack->sim(), block_layers(*stack),
+                 [&](const std::function<void()>& open_window) {
+                   open_window();
+                   const wl::ConcurrentWritersResult res =
+                       wl::run_concurrent_writers(*stack, p);
+                   return Outcome{.ops = res.ops_done + res.syncs_done};
+                 });
 }
 
 /// Ring QD sweep: the varmail flow on one BFS-DR volume, driven through
@@ -303,24 +304,14 @@ ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd,
   p.files = smoke ? 100 : 400;
   p.iterations = smoke ? 20 : 60;
   p.ring_qd = ring_qd;
-
-  ScenarioResult r;
-  r.name = name;
-  const std::uint64_t ev0 = stack->sim().events_dispatched();
-  const std::uint64_t alloc0 = g_new_calls;
-  const auto t0 = Clock::now();
-  const wl::VarmailResult res = wl::run_varmail(*stack, p, sim::Rng(47));
-  r.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  r.ops = res.ops_done;
-  r.sim_ops_per_sec = res.ops_per_sec;
-  r.sim_ios = dev_ios(*stack);
-  r.requests = stack->blk().stats().submitted;
-  r.events = stack->sim().events_dispatched() - ev0;
-  r.global_allocs = g_new_calls - alloc0;
-  r.pool = stack->blk().pool().stats();
-  return r;
+  return measure(name, stack->sim(), block_layers(*stack),
+                 [&](const std::function<void()>& open_window) {
+                   open_window();
+                   const wl::VarmailResult res =
+                       wl::run_varmail(*stack, p, sim::Rng(47));
+                   return Outcome{.ops = res.ops_done,
+                                  .sim_ops_per_sec = res.ops_per_sec};
+                 });
 }
 
 /// Multi-queue block-layer scaling: eight writer coroutines drive strided
@@ -359,27 +350,19 @@ ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues,
     }
   };
 
-  ScenarioResult r;
-  r.name = name;
-  const std::uint64_t ev0 = sim.events_dispatched();
-  const std::uint64_t alloc0 = g_new_calls;
-  const auto t0 = Clock::now();
-  for (std::uint32_t w = 0; w < writers; ++w)
-    sim.spawn("mq-writer", writer(w));
-  sim.run();
-  r.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  r.ops = done;
-  if (all_acked > 0)
-    r.sim_ops_per_sec =
-        static_cast<double>(done) / sim::to_seconds(all_acked);
-  r.sim_ios = dev.stats().writes + dev.stats().reads + dev.stats().flushes;
-  r.requests = blk.stats().submitted;
-  r.events = sim.events_dispatched() - ev0;
-  r.global_allocs = g_new_calls - alloc0;
-  r.pool = blk.pool().stats();
-  return r;
+  return measure(
+      name, sim, {&blk}, [&](const std::function<void()>& open_window) {
+        open_window();
+        for (std::uint32_t w = 0; w < writers; ++w)
+          sim.spawn("mq-writer", writer(w));
+        sim.run();
+        return Outcome{
+            .ops = done,
+            .sim_ops_per_sec =
+                all_acked > 0
+                    ? static_cast<double>(done) / sim::to_seconds(all_acked)
+                    : 0.0};
+      });
 }
 
 void print_table(const std::vector<ScenarioResult>& results) {
@@ -434,8 +417,9 @@ bool write_json(const char* path, const std::vector<ScenarioResult>& results,
                  (unsigned long long)r.global_allocs);
     std::fprintf(f, "      \"global_allocs_per_op\": %.3f,\n",
                  r.global_allocs_per_op());
-    if (r.volumes > 0) {
-      std::fprintf(f, "      \"volumes\": %u,\n", r.volumes);
+    if (!r.volume_ops_per_sec.empty()) {
+      std::fprintf(f, "      \"volumes\": %zu,\n",
+                   r.volume_ops_per_sec.size());
       std::fprintf(f, "      \"volume_ops_per_sec\": [");
       for (std::size_t v = 0; v < r.volume_ops_per_sec.size(); ++v)
         std::fprintf(f, "%s%.0f", v ? ", " : "", r.volume_ops_per_sec[v]);
@@ -480,20 +464,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sharded-out") == 0 && i + 1 < argc) {
       sharded_out = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      // Strict positive decimal, like crash_consistency --jobs.
-      const char* s = argv[++i];
-      long v = 0;
-      bool digits = *s != '\0';
-      for (const char* p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') digits = false;
-        if (digits && v <= bio::sim::kMaxHostJobs) v = v * 10 + (*p - '0');
-      }
-      if (!digits || v < 1 || v > bio::sim::kMaxHostJobs) {
+      if (!sim::parse_count(argv[++i], sim::kMaxHostJobs, jobs)) {
         std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
-                     s, bio::sim::kMaxHostJobs);
+                     argv[i], sim::kMaxHostJobs);
         return 2;
       }
-      jobs = static_cast<int>(v);
     } else {
       std::fprintf(stderr,
                    "usage: perf_suite [--smoke] [--out <path>] "
@@ -619,7 +594,7 @@ int main(int argc, char** argv) {
   for (const ScenarioResult& r : results) {
     if (r.sim_ops_per_sec <= 0) continue;
     std::printf("%-18s sim ops/s %10.0f", r.name.c_str(), r.sim_ops_per_sec);
-    if (r.volumes > 0) {
+    if (!r.volume_ops_per_sec.empty()) {
       std::printf(" | per-volume:");
       for (double v : r.volume_ops_per_sec) std::printf(" %10.0f", v);
     }
@@ -630,7 +605,7 @@ int main(int argc, char** argv) {
   if (sharded_out != nullptr) {
     std::vector<ScenarioResult> sharded;
     for (const ScenarioResult& r : results)
-      if (r.volumes > 0) sharded.push_back(r);
+      if (!r.volume_ops_per_sec.empty()) sharded.push_back(r);
     if (!write_json(sharded_out, sharded, smoke)) return 1;
     std::printf("wrote %s\n", sharded_out);
   }

@@ -49,14 +49,12 @@
 //
 // Build: cmake --build build && ./build/examples/crash_consistency
 // CI:    ./build/examples/crash_consistency --smoke --jobs 8
-#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <string>
-#include <string_view>
 
 #include "chk/crash_check.h"
 #include "sim/host_pool.h"
@@ -65,14 +63,6 @@ using namespace bio;
 using core::StackKind;
 
 namespace {
-
-/// Strict decimal option value in [1, max]: a mis-parsed count would run a
-/// different configuration than the one asked for.
-bool parse_count(std::string_view s, int max, int& out) {
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc() && end == s.data() + s.size() && out >= 1 &&
-         out <= max;
-}
 
 std::string strf(const char* fmt, ...) {
   char buf[256];
@@ -232,14 +222,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) points = 120;
     if (std::strcmp(argv[i], "--parallel-smoke") == 0) parallel_smoke = true;
     if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
-      if (!parse_count(argv[++i], chk::kMaxReproPoint, points)) {
+      if (!sim::parse_count(argv[++i], chk::kMaxReproPoint, points)) {
         std::fprintf(stderr, "bad --points '%s' (want a decimal in [1, %d])\n",
                      argv[i], chk::kMaxReproPoint);
         return 2;
       }
     }
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      if (!parse_count(argv[++i], sim::kMaxHostJobs, jobs)) {
+      if (!sim::parse_count(argv[++i], sim::kMaxHostJobs, jobs)) {
         std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
                      argv[i], sim::kMaxHostJobs);
         return 2;

@@ -136,14 +136,11 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
     const bool fault_aware = dev_.has_fault_plan();
     std::shared_ptr<flash::Command> cmd = to_command(r, fault_aware);
     cmd->port = q % dev_.port_count();
+    // A full device queue parks the dispatcher until a slot frees
+    // (tag-aware driver), never on a blind retry timer.
     while (!dev_.try_submit(cmd)) {
       ++stats_.busy_retries;
-      if (config_.busy_poll) {
-        // Fig 6(b): the dispatching context retries after a fixed delay.
-        co_await sim_.delay(config_.busy_retry);
-      } else {
-        co_await dev_.queue_activity().wait();
-      }
+      co_await dev_.queue_activity().wait();
     }
     ++stats_.dispatched;
     if (fenced && r->is_write()) {
@@ -188,10 +185,7 @@ sim::Task BlockLayer::retry_watcher(RequestPtr r,
     r->device_done.recycle();
     while (!dev_.try_submit(cmd)) {
       ++stats_.busy_retries;
-      if (config_.busy_poll)
-        co_await sim_.delay(config_.busy_retry);
-      else
-        co_await dev_.queue_activity().wait();
+      co_await dev_.queue_activity().wait();
     }
     co_await r->device_done.wait();
   }

@@ -44,11 +44,6 @@ struct BlockLayerConfig {
   /// Dispatch barrier writes with SCSI ORDERED priority (vs stripping all
   /// ordering attributes, as the legacy stack does).
   bool order_preserving_dispatch = true;
-  /// Busy retry interval when the device queue is full (Fig 6(b)).
-  sim::SimTime busy_retry = 3'000'000;  // 3 ms, per the SCSI spec note
-  /// If true, the dispatcher blindly retries on busy; if false it waits for
-  /// a queue event (tag-aware driver) and uses the retry delay as fallback.
-  bool busy_poll = false;
   /// Bound on the scheduler queue (Linux nr_requests). Submitters that call
   /// throttle() block while the queue is congested; they wake once it
   /// drains to half (batched wakeups, like the request-list congestion

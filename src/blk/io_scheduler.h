@@ -11,10 +11,6 @@
 
 namespace bio::blk {
 
-/// Maximum blocks in a merged request (128 × 4 KiB = 512 KiB, the typical
-/// max_sectors_kb).
-inline constexpr std::size_t kMaxMergedBlocks = 128;
-
 class IoScheduler {
  public:
   struct Stats {

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
@@ -138,6 +139,7 @@ struct Request {
   /// this event stays cold.
   sim::Event device_done;
   /// Requests merged into this one; their completions fire with ours.
+  /// Built only through absorb(), which keeps it one level deep.
   std::vector<RequestPtr> absorbed;
   /// Device-facing command, filled at dispatch. The block layer hands the
   /// device an aliasing shared_ptr to this member, so the request stays
@@ -174,54 +176,38 @@ struct Request {
   }
 };
 
-namespace detail {
+/// Maximum blocks in a merged request (128 × 4 KiB = 512 KiB, the typical
+/// max_sectors_kb).
+inline constexpr std::size_t kMaxMergedBlocks = 128;
 
-/// Heap-worklist preorder walk for absorption chains deeper than the
-/// recursion budget. Entering the loop processes `r`'s whole subtree before
-/// returning, so the caller's sibling order (= preorder) is preserved.
-inline void trigger_absorbed_deep(Request& r, flash::IoStatus status) {
-  std::vector<Request*> work;
-  work.reserve(r.absorbed.size());
-  for (auto it = r.absorbed.rbegin(); it != r.absorbed.rend(); ++it)
-    work.push_back(it->get());
-  while (!work.empty()) {
-    Request* cur = work.back();
-    work.pop_back();
-    cur->cmd.status = status;
-    cur->completion.trigger();
-    for (auto it = cur->absorbed.rbegin(); it != cur->absorbed.rend(); ++it)
-      work.push_back(it->get());
-  }
+/// The one merge entry point. Appends `r` to `carrier`, then moves what `r`
+/// had absorbed behind it, so every absorbed list is one level deep and in
+/// the merge history's preorder: completion, stamp retirement and pool
+/// release are one loop each. Each merge adds at least one block to the
+/// carrier, so a list stays under kMaxMergedBlocks, which also bounds the
+/// per-merge move cost.
+inline void absorb(Request& carrier, RequestPtr r) {
+  std::vector<RequestPtr>& moved = r->absorbed;
+  for (const RequestPtr& a : moved)
+    BIO_CHECK_MSG(a->absorbed.empty(), "absorbed lists must be flat");
+  carrier.absorbed.push_back(std::move(r));
+  carrier.absorbed.insert(carrier.absorbed.end(),
+                          std::make_move_iterator(moved.begin()),
+                          std::make_move_iterator(moved.end()));
+  moved.clear();
+  BIO_CHECK_MSG(carrier.absorbed.size() < kMaxMergedBlocks,
+                "absorbed list exceeds the merge bound");
 }
 
-/// Recursive preorder walk with a depth budget: the common 1-2 link merge
-/// chains complete with zero heap traffic; anything deeper falls back to
-/// the worklist before the real stack is at risk.
-inline void trigger_absorbed_impl(Request& r, flash::IoStatus status,
-                                  int depth_left) {
-  for (const RequestPtr& a : r.absorbed) {
-    a->cmd.status = status;
-    a->completion.trigger();
-    if (a->absorbed.empty()) continue;
-    if (depth_left > 0)
-      trigger_absorbed_impl(*a, status, depth_left - 1);
-    else
-      trigger_absorbed_deep(*a, status);
-  }
-}
-
-}  // namespace detail
-
-/// Fires the completion of every request absorbed (transitively) into `r`,
-/// in preorder. The dispatcher calls this when the carrying request
-/// completes. Absorption chains grow one link per merge, so a long
-/// fsync-heavy run must not translate into unbounded recursion on the real
-/// stack — past a fixed depth the walk switches to an explicit worklist.
+/// Fires the completion of every request absorbed into `r`, in merge
+/// preorder. The dispatcher calls this when the carrying request completes.
 inline void trigger_absorbed(Request& r) {
-  if (r.absorbed.empty()) return;
   // Absorbed requests completed with the carrier, so they share its fate:
   // a failed carrier fails every write folded into it.
-  detail::trigger_absorbed_impl(r, r.cmd.status, /*depth_left=*/64);
+  for (const RequestPtr& a : r.absorbed) {
+    a->cmd.status = r.cmd.status;
+    a->completion.trigger();
+  }
 }
 
 /// Validates and stamps a write payload onto `r` (shared by RequestPool and

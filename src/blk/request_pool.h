@@ -128,26 +128,15 @@ class RequestPool {
     std::vector<void*> ctrl_free;
     std::size_t ctrl_size = 0;
     Stats stats;
-    /// Worklist draining absorbed chains iteratively on release: dropping a
-    /// parent's absorbed list may drop the last reference to each child,
-    /// which would otherwise recurse one stack frame per merge link.
-    std::vector<RequestPtr> release_queue;
-    bool releasing = false;
 
+    /// Parks `r`, then drops its absorbed requests back to front. Absorbed
+    /// lists are one level deep (blk::absorb), so a child released here
+    /// has none of its own and the re-entry stops after one frame.
     void release(Request* r) {
       stats.block_heap_allocs += r->blocks.take_heap_allocs();
-      for (RequestPtr& child : r->absorbed)
-        release_queue.push_back(std::move(child));
-      r->reset_for_reuse();
       free_list.push_back(r);
-      if (releasing) return;  // the outermost frame drains the queue
-      releasing = true;
-      while (!release_queue.empty()) {
-        RequestPtr child = std::move(release_queue.back());
-        release_queue.pop_back();
-        child.reset();  // may re-enter release(); depth stays bounded
-      }
-      releasing = false;
+      while (!r->absorbed.empty()) r->absorbed.pop_back();
+      r->reset_for_reuse();
     }
   };
 

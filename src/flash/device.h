@@ -84,7 +84,7 @@ class StorageDevice {
 
   /// Queues a command on port `cmd->port % port_count()`; returns false
   /// (device busy) when that port's NCQ window is full. The dispatcher
-  /// retries busy commands after a delay (Fig 6(b)).
+  /// then waits on queue_activity() and retries once a slot frees.
   bool try_submit(std::shared_ptr<Command> cmd);
 
   /// Hardware submission ports (one per flash channel).

@@ -17,7 +17,7 @@ sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
   txn_out = running_->id;
   if (running_->buffers.contains(block)) co_return;
   if (conflict_blocks_.contains(block)) co_return;  // already queued
-  for (const Txn* t : committing_) {
+  for (const Txn* t : committing_list_) {
     if (t->buffers.contains(block)) {
       // §4.3: the application does NOT block. The buffer waits on the
       // conflict-page list; the running transaction cannot commit until
@@ -79,7 +79,7 @@ sim::Task BarrierFsJournal::commit_loop() {
     if (aborted_) co_return;
 
     Txn* txn = close_running(/*allow_empty=*/true);
-    committing_.push_back(txn);
+    committing_list_.push_back(txn);
 
     // Control plane (Eq. 3): dispatch JD and JC back-to-back, both
     // ORDERED|BARRIER. D (dispatched earlier as order-preserving requests)
@@ -116,9 +116,10 @@ sim::Task BarrierFsJournal::flush_loop() {
     co_await txn->jc_req->completion.wait();
     co_await txn->jd_req->completion.wait();
     if (txn->jd_req->failed() || txn->jc_req->failed()) {
-      auto it = std::find(committing_.begin(), committing_.end(), txn);
-      BIO_CHECK(it != committing_.end());
-      committing_.erase(it);
+      auto it = std::find(committing_list_.begin(), committing_list_.end(),
+                          txn);
+      BIO_CHECK(it != committing_list_.end());
+      committing_list_.erase(it);
       abort_journal(*txn);
       conflict_resolved_.notify_all();  // unstick commit_loop's drain wait
       co_return;
@@ -128,9 +129,10 @@ sim::Task BarrierFsJournal::flush_loop() {
       txn->flushed = true;
     }
     resolve_conflicts(*txn);
-    auto it = std::find(committing_.begin(), committing_.end(), txn);
-    BIO_CHECK(it != committing_.end());
-    committing_.erase(it);
+    auto it =
+        std::find(committing_list_.begin(), committing_list_.end(), txn);
+    BIO_CHECK(it != committing_list_.end());
+    committing_list_.erase(it);
     retire(*txn);
   }
 }

@@ -41,7 +41,9 @@ class BarrierFsJournal : public Journal {
   sim::Task dirty_metadata(flash::Lba block, std::uint64_t& txn_out) override;
   sim::Task commit(std::uint64_t tid, WaitMode mode) override;
 
-  std::size_t committing_count() const noexcept { return committing_.size(); }
+  std::size_t committing_count() const noexcept {
+    return committing_list_.size();
+  }
   std::size_t conflict_count() const noexcept {
     return conflict_blocks_.size();
   }
@@ -55,7 +57,7 @@ class BarrierFsJournal : public Journal {
   sim::Notify commit_wake_;
   std::deque<Txn*> flush_queue_;
   sim::Notify flush_wake_;
-  std::deque<Txn*> committing_;  // the committing transaction *list*
+  std::deque<Txn*> committing_list_;  // the committing transaction *list*
   std::set<flash::Lba> conflict_blocks_;
   sim::Notify conflict_resolved_;
 };

@@ -8,20 +8,6 @@ void Jbd2Journal::start() {
   sim_.spawn("jbd2", jbd_loop());
 }
 
-sim::Task Jbd2Journal::dirty_metadata(flash::Lba block,
-                                      std::uint64_t& txn_out) {
-  co_await throttle_running_txn(1);
-  // EXT4 page-conflict rule: a buffer held by the committing transaction
-  // may not join the running one; the application blocks until the commit
-  // retires (§4.3).
-  while (committing_ != nullptr && committing_->buffers.contains(block)) {
-    ++stats_.conflicts;
-    co_await committing_->durable->wait();
-  }
-  running_->buffers.insert(block);
-  txn_out = running_->id;
-}
-
 sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {

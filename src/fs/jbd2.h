@@ -26,13 +26,11 @@ class Jbd2Journal : public Journal {
       : Journal(sim, blk, cfg, layout), commit_wake_(sim) {}
 
   void start() override;
-  sim::Task dirty_metadata(flash::Lba block, std::uint64_t& txn_out) override;
   sim::Task commit(std::uint64_t tid, WaitMode mode) override;
 
  private:
   sim::Task jbd_loop();
 
-  Txn* committing_ = nullptr;  // EXT4: at most one committing txn
   bool commit_pending_ = false;
   sim::Notify commit_wake_;
 };

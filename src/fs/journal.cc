@@ -51,6 +51,16 @@ sim::Task Journal::throttle_running_txn(std::size_t adding) {
     co_await commit(running_->id, WaitMode::kDispatched);
 }
 
+sim::Task Journal::dirty_metadata(flash::Lba block, std::uint64_t& txn_out) {
+  co_await throttle_running_txn(1);
+  while (committing_ != nullptr && committing_->buffers.contains(block)) {
+    ++stats_.conflicts;
+    co_await committing_->durable->wait();
+  }
+  running_->buffers.insert(block);
+  txn_out = running_->id;
+}
+
 bool Journal::is_retired(std::uint64_t tid) const {
   const Txn* t = find_txn(tid);
   return t != nullptr && t->state == Txn::State::kRetired;

@@ -170,10 +170,12 @@ class Journal {
   /// Spawns the journaling thread(s).
   virtual void start() = 0;
 
-  /// Records `block` as dirtied in the running transaction. May block the
-  /// caller (EXT4's page-conflict rule). Returns the owning txn id.
-  virtual sim::Task dirty_metadata(flash::Lba block,
-                                   std::uint64_t& txn_out) = 0;
+  /// Records `block` as dirtied in the running transaction. Returns the
+  /// owning txn id. The default is JBD2's single-committing-txn rule
+  /// (EXT4 and OptFS): a buffer held by `committing_` may not join the
+  /// running txn, so the caller blocks until that commit retires (§4.3's
+  /// page conflict, EXT4 flavour). BarrierFS overrides it.
+  virtual sim::Task dirty_metadata(flash::Lba block, std::uint64_t& txn_out);
 
   /// Requests a commit covering txn `tid` and waits per `mode`.
   virtual sim::Task commit(std::uint64_t tid, WaitMode mode) = 0;
@@ -309,6 +311,9 @@ class Journal {
   Layout layout_;
 
   std::unique_ptr<Txn> running_;
+  /// The one committing transaction of a JBD2-style journal (null when
+  /// idle); read by the default dirty_metadata() conflict rule.
+  Txn* committing_ = nullptr;
   std::map<std::uint64_t, std::unique_ptr<Txn>> txns_;  // committed + retired
   std::vector<const Txn*> commit_order_;
   std::uint64_t next_txn_id_ = 1;

@@ -8,19 +8,6 @@ void OptFsJournal::start() {
   sim_.spawn("optfs", commit_loop());
 }
 
-sim::Task OptFsJournal::dirty_metadata(flash::Lba block,
-                                       std::uint64_t& txn_out) {
-  co_await throttle_running_txn(1);
-  // OptFS keeps JBD's single committing transaction and its blocking
-  // conflict rule.
-  while (committing_ != nullptr && committing_->buffers.contains(block)) {
-    ++stats_.conflicts;
-    co_await committing_->durable->wait();
-  }
-  running_->buffers.insert(block);
-  txn_out = running_->id;
-}
-
 sim::Task OptFsJournal::commit(std::uint64_t tid, WaitMode mode) {
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {

@@ -11,6 +11,9 @@
 //     inside JD instead of being written in place, which is why OptFS
 //     struggles on overwrite-heavy workloads (MySQL, §6.5).
 //
+// It keeps JBD2's single committing transaction and its blocking
+// page-conflict rule (the fs::Journal::dirty_metadata default).
+//
 // OptFS still relies on Wait-on-Transfer (that is the paper's point), so it
 // runs on the legacy block layer.
 #pragma once
@@ -26,13 +29,11 @@ class OptFsJournal : public Journal {
       : Journal(sim, blk, cfg, layout), commit_wake_(sim) {}
 
   void start() override;
-  sim::Task dirty_metadata(flash::Lba block, std::uint64_t& txn_out) override;
   sim::Task commit(std::uint64_t tid, WaitMode mode) override;
 
  private:
   sim::Task commit_loop();
 
-  Txn* committing_ = nullptr;
   bool commit_pending_ = false;
   sim::Notify commit_wake_;
 };

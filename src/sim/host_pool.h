@@ -27,7 +27,10 @@
 // synchronization — builds on this layer.
 #pragma once
 
+#include <charconv>
 #include <functional>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace bio::sim {
@@ -35,6 +38,15 @@ namespace bio::sim {
 /// Hard upper bound on host threads per pool: sweeps are memory-light but
 /// a runaway jobs request must not fork hundreds of threads.
 inline constexpr int kMaxHostJobs = 64;
+
+/// Strict decimal CLI count in [1, max] (`--jobs`, `--points`): a
+/// mis-parsed count would run a different configuration than the one
+/// asked for.
+inline bool parse_count(std::string_view s, int max, int& out) {
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc() && end == s.data() + s.size() && out >= 1 &&
+         out <= max;
+}
 
 /// Resolves a jobs request into an actual thread count:
 ///   requested >= 1 -> clamped to [1, kMaxHostJobs];

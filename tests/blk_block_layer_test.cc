@@ -139,25 +139,6 @@ TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
   EXPECT_EQ(s.dev.stats().writes, 20u);
 }
 
-TEST(BlockLayerTest, BusyPollModeUsesTimedRetry) {
-  BlockLayerConfig cfg;
-  cfg.busy_poll = true;
-  cfg.busy_retry = 1_ms;
-  Stack s(cfg);
-  auto body = [&]() -> Task {
-    std::vector<RequestPtr> reqs;
-    for (int i = 0; i < 12; ++i) {
-      reqs.push_back(make_write_request(s.sim, {{Lba(i * 2), Version(i)}}));
-      s.blk.submit(reqs.back());
-    }
-    for (auto& r : reqs) co_await r->completion.wait();
-  };
-  s.sim.spawn("t", body());
-  s.sim.run();
-  EXPECT_GT(s.blk.stats().busy_retries, 0u) << "QD=4 forces busy retries";
-  EXPECT_EQ(s.dev.stats().writes, 12u);
-}
-
 TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   Stack s;
   auto body = [&]() -> Task {

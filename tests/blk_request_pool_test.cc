@@ -1,11 +1,12 @@
 // Tests for the slab/freelist RequestPool: recycling behaviour, embedded
 // completion events, allocation statistics, BlockList small-buffer storage,
-// and the iterative trigger_absorbed worklist.
+// and flat absorption (absorb, trigger_absorbed, release).
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
+#include "blk/io_scheduler.h"
 #include "blk/request_pool.h"
 #include "sim/simulator.h"
 
@@ -125,38 +126,51 @@ TEST(BlockListTest, SpillsToHeapAndKeepsCapacityAcrossClears) {
 }
 
 TEST(TriggerAbsorbedTest, DeepChainDoesNotOverflowTheStack) {
-  // Regression: trigger_absorbed used to recurse once per absorption link;
-  // a long back-merge chain (one link per merged request) overflowed the
-  // real stack. 200k links * ~60B/frame would have needed ~12 MB of stack.
+  // The deepest merge history the bound allows: every new request
+  // front-merges the previous carrier. The old tree nested one level per
+  // merge and needed a recursion budget; absorb() flattens it, so
+  // completion is one loop whatever the history.
   Simulator sim;
   RequestPool pool(sim);
-  constexpr int kDepth = 200'000;
-  RequestPtr head = pool.make_write({{0, 1}});
-  Request* cur = head.get();
-  std::vector<RequestPtr> keep;  // keep every link alive independently
-  keep.reserve(kDepth);
-  for (int i = 1; i <= kDepth; ++i) {
+  constexpr int kMerges = static_cast<int>(kMaxMergedBlocks) - 1;
+  std::vector<RequestPtr> keep;  // oldest first
+  RequestPtr carrier = pool.make_write({{Lba(kMerges), 1}});
+  keep.push_back(carrier);
+  for (int i = kMerges - 1; i >= 0; --i) {
     RequestPtr next = pool.make_write({{Lba(i), 1}});
     keep.push_back(next);
-    cur->absorbed.push_back(std::move(next));
-    cur = keep.back().get();
+    absorb(*next, std::move(carrier));
+    carrier = std::move(next);
   }
-  trigger_absorbed(*head);
-  for (const RequestPtr& r : keep) EXPECT_TRUE(r->completion.is_set());
+  ASSERT_EQ(carrier->absorbed.size(), std::size_t(kMerges));
+  for (std::size_t i = 0; i < carrier->absorbed.size(); ++i) {
+    EXPECT_TRUE(carrier->absorbed[i]->absorbed.empty()) << "depth 1";
+    // Preorder: the newest absorbed carrier first, the oldest request last.
+    EXPECT_EQ(carrier->absorbed[i].get(), keep[keep.size() - 2 - i].get());
+  }
+  trigger_absorbed(*carrier);
+  for (const RequestPtr& r : keep)
+    EXPECT_EQ(r->completion.is_set(), r != carrier);
+
+  // One more merge would exceed what kMaxMergedBlocks blocks can carry.
+  EXPECT_THROW(absorb(*pool.make_write({{1000, 1}}), std::move(carrier)),
+               bio::CheckFailure);
 }
 
 TEST(TriggerAbsorbedTest, PreservesPreorderTriggerSequence) {
-  // The completion order must match the old recursion (preorder): parent's
-  // first absorbed subtree completely before the second.
+  // Completion order is the merge history's preorder: a request absorbed
+  // into a carrier completes right after that carrier, before anything the
+  // outer carrier absorbed later.
   Simulator sim;
   RequestPool pool(sim);
   RequestPtr root = pool.make_write({{0, 1}});
   RequestPtr a = pool.make_write({{1, 1}});
   RequestPtr a1 = pool.make_write({{2, 1}});
   RequestPtr b = pool.make_write({{3, 1}});
-  a->absorbed.push_back(a1);
-  root->absorbed.push_back(a);
-  root->absorbed.push_back(b);
+  absorb(*a, a1);
+  absorb(*root, a);
+  absorb(*root, b);
+  EXPECT_TRUE(a->absorbed.empty()) << "a's list moved onto root";
 
   std::vector<Lba> order;
   auto watch = [&](RequestPtr& r) -> sim::Task {
@@ -170,6 +184,49 @@ TEST(TriggerAbsorbedTest, PreservesPreorderTriggerSequence) {
   trigger_absorbed(*root);
   sim.run();
   EXPECT_EQ(order, (std::vector<Lba>{1, 2, 3}));
+}
+
+TEST(TriggerAbsorbedTest, ElevatorFrontMergeOfACarrierStaysFlat) {
+  // The elevator front-merges a request into a carrier that already holds
+  // absorbed requests: the merged list must stay one level deep, complete
+  // in merge preorder, and return every slot to the pool on release.
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  std::vector<RequestPtr> reqs;
+  for (Lba lba : {10, 11, 9, 8, 12}) {
+    reqs.push_back(pool.make_write({{lba, 1}}));
+    s.enqueue(reqs.back());
+  }
+  // 11 back-merges into 10; 9 front-merges carrier 10; 8 front-merges
+  // carrier 9; 12 back-merges into carrier 8.
+  EXPECT_EQ(s.stats().merges, 4u);
+  RequestPtr carrier = s.dequeue();
+  ASSERT_NE(carrier, nullptr);
+  EXPECT_EQ(s.dequeue(), nullptr);
+  EXPECT_EQ(carrier->first_lba(), 8u);
+  EXPECT_EQ(carrier->last_lba(), 12u);
+  ASSERT_EQ(carrier->absorbed.size(), 4u);
+  for (const RequestPtr& a : carrier->absorbed)
+    EXPECT_TRUE(a->absorbed.empty()) << "every absorbed list is depth 1";
+
+  std::vector<Lba> order;
+  auto watch = [&](Request& r) -> sim::Task {
+    co_await r.completion.wait();
+    order.push_back(r.first_lba());
+  };
+  for (const RequestPtr& a : carrier->absorbed) sim.spawn("w", watch(*a));
+  sim.run();
+  carrier->completion.trigger();
+  trigger_absorbed(*carrier);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<Lba>{9, 10, 11, 12}));
+
+  reqs.clear();
+  EXPECT_EQ(pool.free_count(), 0u) << "the carrier still holds every slot";
+  carrier.reset();
+  EXPECT_EQ(pool.free_count(), pool.slab_size());
+  EXPECT_EQ(pool.slab_size(), 5u);
 }
 
 }  // namespace
