@@ -44,8 +44,9 @@
 // fans its points across (default: the BIO_SWEEP_JOBS env var, else
 // hardware concurrency). Results are bit-identical at any jobs value
 // (DESIGN.md §13). `--points N` (N in [1, 1000000]) sets the points per
-// sweep; a malformed count exits 2. `--parallel-smoke` runs a short
-// all-flavour parallel sweep (the CI TSan leg's target).
+// sweep and wins over `--smoke`'s 120. `--parallel-smoke` runs a short
+// all-flavour parallel sweep (the CI TSan leg's target). An unknown
+// option, a malformed count or an option missing its value exits 2.
 //
 // Build: cmake --build build && ./build/examples/crash_consistency
 // CI:    ./build/examples/crash_consistency --smoke --jobs 8
@@ -215,29 +216,53 @@ bool row(StackKind kind, const std::string& columns,
 int main(int argc, char** argv) {
   int points = 200;
   int jobs = 0;  // 0 = BIO_SWEEP_JOBS env, else hardware concurrency
-  bool parallel_smoke = false;
+  bool smoke = false, points_given = false, parallel_smoke = false;
+  const char* repro = nullptr;
   for (int i = 1; i < argc; ++i) {
-    // Smoke stays large enough that the EXT4-OD expected-failure check is
-    // deterministic (the first violating sweep seed is in the 90s).
-    if (std::strcmp(argv[i], "--smoke") == 0) points = 120;
-    if (std::strcmp(argv[i], "--parallel-smoke") == 0) parallel_smoke = true;
-    if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
-      if (!sim::parse_count(argv[++i], chk::kMaxReproPoint, points)) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--smoke") == 0) {
+      smoke = true;
+      continue;
+    }
+    if (std::strcmp(arg, "--parallel-smoke") == 0) {
+      parallel_smoke = true;
+      continue;
+    }
+    const bool takes_value = std::strcmp(arg, "--points") == 0 ||
+                             std::strcmp(arg, "--jobs") == 0 ||
+                             std::strcmp(arg, "--repro") == 0;
+    if (!takes_value) {
+      std::fprintf(stderr,
+                   "unknown option '%s' (want --smoke, --parallel-smoke, "
+                   "--points N, --jobs N or --repro <spec>)\n",
+                   arg);
+      return 2;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "%s needs a value\n", arg);
+      return 2;
+    }
+    const char* value = argv[++i];
+    if (std::strcmp(arg, "--repro") == 0) {
+      repro = value;
+    } else if (std::strcmp(arg, "--points") == 0) {
+      if (!sim::parse_count(value, chk::kMaxReproPoint, points)) {
         std::fprintf(stderr, "bad --points '%s' (want a decimal in [1, %d])\n",
-                     argv[i], chk::kMaxReproPoint);
+                     value, chk::kMaxReproPoint);
         return 2;
       }
+      points_given = true;
+    } else if (!sim::parse_count(value, sim::kMaxHostJobs, jobs)) {
+      std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
+                   value, sim::kMaxHostJobs);
+      return 2;
     }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      if (!sim::parse_count(argv[++i], sim::kMaxHostJobs, jobs)) {
-        std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
-                     argv[i], sim::kMaxHostJobs);
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc)
-      return run_repro(argv[i + 1]);
   }
+  if (repro != nullptr) return run_repro(repro);
+  // Smoke stays large enough that the EXT4-OD expected-failure check is
+  // deterministic (the first violating sweep seed is in the 90s). An
+  // explicit --points wins.
+  if (smoke && !points_given) points = 120;
   if (parallel_smoke) return run_parallel_smoke(jobs);
   const auto sweep_t0 = std::chrono::steady_clock::now();
   auto sweep = [&](const chk::SweepSpec& spec) {

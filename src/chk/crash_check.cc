@@ -137,9 +137,9 @@ std::string describe(const wl::TraceWrite& w) {
 }
 
 /// BIO_CHK_DEBUG=1 diagnostic dump for a failed write check: where the
-/// block's versions actually ended up (image, FTL mapping, transfer
-/// history, log prefix). This is how the checker's findings get root-caused
-/// down the stack.
+/// block's versions actually ended up (image, FTL mapping, the retained
+/// transfer window, log prefix). This is how the checker's findings get
+/// root-caused down the stack.
 void debug_dump_write(const char* what, const wl::TraceWrite& w,
                       const flash::StorageDevice::DurableImage& image,
                       core::Volume& vol) {
@@ -150,7 +150,12 @@ void debug_dump_write(const char* what, const wl::TraceWrite& w,
                what, (unsigned long long)w.lba, (unsigned long long)w.version,
                img == image.blocks.end() ? -1 : (long long)img->second,
                mapped.has_value() ? (long long)*mapped : -1);
-  for (const auto& e : vol.device().transfer_history())
+  // The device keeps only its last transfers; say when older ones are gone.
+  const auto history = vol.device().transfer_history();
+  const std::uint64_t dropped = history.empty() ? 0 : history.front().order;
+  std::fprintf(stderr, "  xfer window: %zu transfers, %llu older dropped\n",
+               history.size(), (unsigned long long)dropped);
+  for (const auto& e : history)
     if (e.lba == w.lba)
       std::fprintf(stderr, "  xfer v=%llu epoch=%llu order=%llu\n",
                    (unsigned long long)e.version, (unsigned long long)e.epoch,

@@ -12,13 +12,14 @@
 // transferred so far has been programmed.
 //
 // Per-IO state is flat: the in-flight orders sit in one dense window
-// indexed by order, and the newest-dirty index (read hits) is an LbaTable
-// (lba_table.h), so insert, drain and lookup allocate nothing once the
-// touched LBA chunks exist.
+// indexed by order (a vector compacted from the front), and the
+// newest-dirty index (read hits) is an LbaTable (lba_table.h), so insert,
+// drain and lookup allocate nothing once the touched LBA chunks exist. The
+// transfer history is a fixed ring of the last kHistoryWindow entries, so
+// no per-device structure grows with run length.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -31,6 +32,9 @@ namespace bio::flash {
 
 class WritebackCache {
  public:
+  /// Transfers kept by transfer_history(): 4x the plain-SSD cache.
+  static constexpr std::size_t kHistoryWindow = 16384;
+
   struct Entry {
     Lba lba = 0;
     Version version = 0;
@@ -46,6 +50,7 @@ class WritebackCache {
       : sim_(sim), capacity_(capacity_entries), space_(sim, capacity_entries),
         drain_ready_(sim), drained_(sim) {
     BIO_CHECK(capacity_ > 0);
+    history_.reserve(kHistoryWindow);
   }
 
   /// DMA landing point: blocks until a cache slot is free (this is how a
@@ -67,7 +72,7 @@ class WritebackCache {
 
   /// True when every entry with order < `through` has been drained.
   bool drained_through(std::uint64_t through) const noexcept {
-    return window_.empty() || window_base_ >= through;
+    return window_head_ == window_.size() || window_base_ >= through;
   }
 
   /// Blocks until drained_through(through) holds.
@@ -81,15 +86,13 @@ class WritebackCache {
   /// only, so the cost is bounded by the cache capacity.
   std::vector<Entry> undrained_entries() const;
 
-  /// Full arrival history (order, epoch, barrier) for invariant checks.
-  const std::vector<Entry>& transfer_history() const noexcept {
-    return history_;
-  }
+  /// The last kHistoryWindow transfers (order, epoch, barrier), oldest
+  /// first, for invariant checks (snapshot copy). The history is complete
+  /// iff it is empty or its first entry has order 0.
+  std::vector<Entry> transfer_history() const;
 
   std::size_t dirty_count() const noexcept { return dirty_count_; }
   std::size_t capacity() const noexcept { return capacity_; }
-
-  sim::Notify& drain_ready() noexcept { return drain_ready_; }
 
  private:
   sim::Simulator& sim_;
@@ -106,12 +109,18 @@ class WritebackCache {
   };
 
   std::uint64_t next_order_ = 0;
-  /// Orders [window_base_, next_order_), indexed by order - window_base_.
-  /// The front is always undrained: it is popped as soon as it drains.
-  /// Orders from next_claim_ on are not claimed yet; only claimed orders
-  /// drain, so window_base_ <= next_claim_.
-  std::deque<InFlight> window_;
+  /// Orders [window_base_, next_order_) sit at window_[window_head_ + order
+  /// - window_base_]; the slots before window_head_ are popped. The front
+  /// is always undrained: it is popped as soon as it drains. Orders from
+  /// next_claim_ on are not claimed yet; only claimed orders drain, so
+  /// window_base_ <= next_claim_. The vector is compacted from the front,
+  /// so it keeps its capacity and steady-state traffic allocates nothing.
+  std::vector<InFlight> window_;
+  std::size_t window_head_ = 0;
   std::uint64_t window_base_ = 0;
+  InFlight& in_flight(std::uint64_t order) {
+    return window_[window_head_ + (order - window_base_)];
+  }
   std::uint64_t next_claim_ = 0;
   std::size_t dirty_count_ = 0;
   /// LBA -> its newest write while that write is still undrained.
@@ -120,6 +129,8 @@ class WritebackCache {
     Version version = 0;
   };
   LbaTable<Newest> newest_dirty_;
+  /// Ring of the last kHistoryWindow transfers: order o sits at
+  /// o % kHistoryWindow (capacity reserved once, filled as orders arrive).
   std::vector<Entry> history_;
 };
 

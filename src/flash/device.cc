@@ -11,7 +11,7 @@ StorageDevice::StorageDevice(sim::Simulator& sim, DeviceProfile profile)
             profile_.barrier_mode != BarrierMode::kNone && !profile_.plp
                 ? profile_.barrier_program_penalty
                 : 0.0),
-      log_(sim, nand_),
+      log_(sim, nand_, profile_.barrier_mode),
       cache_(sim, profile_.cache_entries),
       queue_event_(sim),
       drain_slots_(sim, profile_.effective_drain_inflight()),

@@ -173,8 +173,9 @@ class StorageDevice {
   /// Highest entry sequence among *completed* flushes (0 = none yet).
   std::uint64_t flush_horizon() const noexcept { return flush_horizon_; }
 
-  /// Arrival-ordered transfer history with epoch tags (invariant checks).
-  const std::vector<WritebackCache::Entry>& transfer_history() const {
+  /// The last WritebackCache::kHistoryWindow transfers with epoch tags,
+  /// oldest first (invariant checks; see WritebackCache::transfer_history).
+  std::vector<WritebackCache::Entry> transfer_history() const {
     return cache_.transfer_history();
   }
 

@@ -1,5 +1,5 @@
-// Flat LBA-indexed table for the device's per-LBA state (the FTL's mapping,
-// the write-back cache's newest-dirty index).
+// Flat LBA-indexed table for the device's per-LBA state (the FTL's mapping
+// and folded durable map, the write-back cache's newest-dirty index).
 //
 // Entries live in fixed-size chunks of kChunkSize consecutive LBAs. A chunk
 // is allocated (zero-filled) the first time an entry in it is inserted, so
@@ -57,6 +57,18 @@ class LbaTable {
   void erase(Lba lba) noexcept {
     Chunk* c = chunk_of(lba);
     if (c != nullptr) c->present[lba & (kChunkSize - 1)] = false;
+  }
+
+  /// Calls fn(lba, value) for every present entry, in ascending LBA order.
+  template <typename F>
+  void for_each(F&& fn) const {
+    for (std::size_t ci = 0; ci < chunks_.size(); ++ci) {
+      const Chunk* c = chunks_[ci].get();
+      if (c == nullptr) continue;
+      for (std::size_t i = 0; i < kChunkSize; ++i)
+        if (c->present[i])
+          fn(static_cast<Lba>((ci << kChunkBits) | i), c->values[i]);
+    }
   }
 
   /// Chunks allocated so far (memory-footprint probe).

@@ -5,14 +5,98 @@
 
 namespace bio::flash {
 
-SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
+// ---- AppendHistory ----------------------------------------------------------
+
+std::uint64_t AppendHistory::append(Lba lba, Version version,
+                                    bool gc_redundant) {
+  tail_.push_back(Record{lba, version, false, gc_redundant});
+  return size() - 1;
+}
+
+std::uint64_t AppendHistory::append_durable(Lba lba, Version version) {
+  BIO_CHECK_MSG(tail_.empty(), "durable append behind unfolded records");
+  folded_[lba] = version;
+  prefix_ = ++base_;
+  if (transactional_) commit_point_ = base_;
+  return base_ - 1;
+}
+
+void AppendHistory::mark_programmed(std::uint64_t index) {
+  BIO_CHECK(index < size());
+  if (index >= base_) tail_[index - base_].programmed = true;
+  if (index <= prefix_) advance_prefix();
+}
+
+bool AppendHistory::programmed(std::uint64_t index) const {
+  BIO_CHECK(index < size());
+  return index < base_ || tail_[index - base_].programmed;
+}
+
+void AppendHistory::mark_commit_point() {
+  BIO_CHECK_MSG(transactional_, "commit point on a non-transactional log");
+  commit_point_ = size();
+  maybe_fold();
+}
+
+void AppendHistory::advance_prefix() {
+  // gc_redundant records never gate the prefix: their content already sits
+  // programmed at an earlier log position, and the source segment outlives
+  // the relocation, so recovery loses nothing if the copy is torn.
+  const std::uint64_t before = prefix_;
+  while (prefix_ < size()) {
+    const Record& r = tail_[prefix_ - base_];
+    if (!r.programmed && !r.gc_redundant) break;
+    ++prefix_;
+  }
+  if (prefix_ != before) maybe_fold();
+}
+
+void AppendHistory::maybe_fold() {
+  const std::uint64_t limit =
+      transactional_ ? std::min(prefix_, commit_point_) : prefix_;
+  if (limit < base_ + kFoldStep) return;
+  const auto end = tail_.begin() + static_cast<std::ptrdiff_t>(limit - base_);
+  for (auto it = tail_.begin(); it != end; ++it) folded_[it->lba] = it->version;
+  tail_.erase(tail_.begin(), end);
+  base_ = limit;
+}
+
+std::unordered_map<Lba, Version> AppendHistory::durable_through(
+    std::uint64_t end, bool programmed_only) const {
+  std::unordered_map<Lba, Version> state;
+  folded_.for_each([&](Lba lba, Version v) { state.emplace(lba, v); });
+  for (std::uint64_t i = base_; i < end; ++i) {
+    const Record& r = tail_[i - base_];
+    if (!programmed_only || r.programmed) state[r.lba] = r.version;
+  }
+  return state;
+}
+
+std::unordered_map<Lba, Version> AppendHistory::durable_in_order_recovery()
+    const {
+  return durable_through(prefix_, false);
+}
+
+std::unordered_map<Lba, Version> AppendHistory::durable_programmed_set() const {
+  return durable_through(size(), true);
+}
+
+std::unordered_map<Lba, Version> AppendHistory::durable_committed() const {
+  BIO_CHECK_MSG(transactional_, "durable_committed on a non-transactional log");
+  return durable_through(commit_point_, false);
+}
+
+// ---- SegmentLog -------------------------------------------------------------
+
+SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, BarrierMode mode,
+                       Params params)
     : sim_(sim),
       nand_(nand),
       params_(params),
       geom_(nand.geometry()),
+      history_(mode == BarrierMode::kTransactional),
       space_freed_(sim),
       gc_wake_(sim),
-      prefix_advanced_(sim),
       erase_done_(sim) {
   segments_.resize(geom_.segments());
   for (auto& seg : segments_)
@@ -37,8 +121,7 @@ bool SegmentLog::space_available() const noexcept {
   return free_segments_.size() > 2;
 }
 
-SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version,
-                                            Mapping& m) {
+SegmentLog::SlotId SegmentLog::take_slot(Lba lba, const Mapping& m) {
   Segment* seg = &segments_[active_segment_];
   if (seg->full()) {
     BIO_CHECK_MSG(!free_segments_.empty(), "allocate_slot without space");
@@ -62,25 +145,15 @@ SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version,
   }
   seg->slots[offset] = PhysSlot{lba, true};
   ++seg->valid_count;
-  history_.push_back(AppendRecord{lba, version, false, false});
-  m = Mapping{slot, version, history_.size() - 1};
-  return Alloc{slot, m.history_index};
+  return slot;
 }
 
-void SegmentLog::mark_programmed(std::uint64_t history_index) {
-  history_[history_index].programmed = true;
-  if (history_index <= prefix_) advance_prefix();
-}
-
-void SegmentLog::advance_prefix() {
-  // gc_redundant records never gate the prefix: their content already sits
-  // programmed at an earlier log position, and the source segment outlives
-  // the relocation, so recovery loses nothing if the copy is torn.
-  const std::uint64_t before = prefix_;
-  while (prefix_ < history_.size() &&
-         (history_[prefix_].programmed || history_[prefix_].gc_redundant))
-    ++prefix_;
-  if (prefix_ != before) prefix_advanced_.notify_all();
+SegmentLog::Reservation SegmentLog::allocate_slot(Lba lba, Version version,
+                                                  Mapping& m,
+                                                  bool gc_redundant) {
+  const SlotId slot = take_slot(lba, m);
+  m = Mapping{slot, version, history_.append(lba, version, gc_redundant)};
+  return Reservation{slot, m.history_index};
 }
 
 sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
@@ -89,14 +162,13 @@ sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
     gc_wake_.notify_all();
     co_await space_freed_.wait();
   }
-  const Alloc alloc = allocate_slot(lba, version, mapping_[lba]);
+  out = allocate_slot(lba, version, mapping_[lba], /*gc_redundant=*/false);
   if (needs_gc()) gc_wake_.notify_all();
-  out = Reservation{alloc.slot, alloc.history_index};
 }
 
 sim::Task SegmentLog::program_reserved(Reservation r) {
   co_await nand_.program(chip_of(r.slot));
-  mark_programmed(r.history_index);
+  history_.mark_programmed(r.history_index);
 }
 
 sim::Task SegmentLog::append(Lba lba, Version version) {
@@ -109,30 +181,6 @@ sim::Task SegmentLog::read(Lba lba) {
   const Mapping* m = mapping_.find(lba);
   if (m == nullptr) co_return;  // unmapped: served as zeroes
   co_await nand_.read(chip_of(m->slot));
-}
-
-void SegmentLog::mark_commit_point() { commit_point_ = history_.size(); }
-
-std::unordered_map<Lba, Version> SegmentLog::durable_in_order_recovery()
-    const {
-  std::unordered_map<Lba, Version> state;
-  for (std::uint64_t i = 0; i < prefix_; ++i)
-    state[history_[i].lba] = history_[i].version;
-  return state;
-}
-
-std::unordered_map<Lba, Version> SegmentLog::durable_programmed_set() const {
-  std::unordered_map<Lba, Version> state;
-  for (const AppendRecord& rec : history_)
-    if (rec.programmed) state[rec.lba] = rec.version;
-  return state;
-}
-
-std::unordered_map<Lba, Version> SegmentLog::durable_committed() const {
-  std::unordered_map<Lba, Version> state;
-  for (std::uint64_t i = 0; i < commit_point_; ++i)
-    state[history_[i].lba] = history_[i].version;
-  return state;
 }
 
 std::optional<Version> SegmentLog::mapped_version(Lba lba) const {
@@ -150,10 +198,10 @@ void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
   for (std::uint64_t i = 0; i < target; ++i) {
     if (!space_available()) break;
     const Lba lba = rng.uniform(0, lba_span - 1);
-    const Alloc alloc = allocate_slot(lba, /*version=*/0, mapping_[lba]);
-    history_[alloc.history_index].programmed = true;
+    Mapping& m = mapping_[lba];
+    const SlotId slot = take_slot(lba, m);
+    m = Mapping{slot, /*version=*/0, history_.append_durable(lba, 0)};
   }
-  advance_prefix();
 }
 
 sim::Task SegmentLog::gc_loop() {
@@ -236,16 +284,15 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
   }
   // Synchronous slot assignment keeps log order consistent with mapping
   // updates (no suspension between the check above and the allocation).
-  const Mapping src = *m;
-  const Alloc alloc = allocate_slot(lba, src.version, *m);
   // Only a relocation of already-programmed content is redundant for
   // recovery; copying a page whose own program is still in flight must
   // gate the prefix like any other append.
-  history_[alloc.history_index].gc_redundant =
-      history_[src.history_index].programmed;
+  const Mapping src = *m;
+  const Reservation r = allocate_slot(lba, src.version, *m,
+                                      history_.programmed(src.history_index));
   co_await nand_.read(chip_of(victim_slot));
-  co_await nand_.program(chip_of(alloc.slot));
-  mark_programmed(alloc.history_index);
+  co_await nand_.program(chip_of(r.slot));
+  history_.mark_programmed(r.history_index);
   ++gc_.pages_copied;
   inflight.release();
 }

@@ -13,6 +13,10 @@
 // The LBA -> (slot, version, history index) map is a flat LbaTable
 // (lba_table.h): chunked, directly indexed, allocated per 1024-LBA chunk on
 // first append, so the per-IO lookups in reserve/read/GC allocate nothing.
+//
+// What a crash keeps is answered by an AppendHistory: the records below the
+// programmed prefix are folded into a durable LBA -> version map, so the
+// log's memory tracks the programs in flight, not the run length.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +35,88 @@
 
 namespace bio::flash {
 
+/// The FTL's append log as crash recovery reads it: one record per page
+/// program, in reservation (= persist) order, each either in flight or
+/// programmed. It answers the three durable views of SegmentLog.
+///
+/// Invariant: every record below `base` is programmed or a GC copy of
+/// programmed content, and lies below the programmed prefix (and, on a
+/// transactional device, below the last commit point). Applying those
+/// records in log order gives the same map under all three views, so they
+/// are folded into one durable LBA -> version table and dropped; only the
+/// tail [base, size) is kept. The fold runs in steps of kFoldStep records,
+/// so the tail holds at most the records from the oldest in-flight program
+/// (or the last commit point) on, plus one step. History indices keep
+/// counting across the fold.
+class AppendHistory {
+ public:
+  /// Records folded at once; the tail's slack above what is in flight.
+  static constexpr std::uint64_t kFoldStep = 4096;
+
+  /// A transactional history answers durable_committed(), so its fold
+  /// never passes the last commit point.
+  explicit AppendHistory(bool transactional) : transactional_(transactional) {
+    // One fold step plus what is in flight fits without regrowth.
+    tail_.reserve(2 * kFoldStep);
+  }
+
+  /// Appends an unprogrammed record; returns its history index.
+  /// `gc_redundant` marks a GC copy of already-programmed content: recovery
+  /// can fall back to the source (its segment is not erased until the copy
+  /// lands), so the copy never truncates the in-order-recovery prefix.
+  std::uint64_t append(Lba lba, Version version, bool gc_redundant);
+
+  /// Appends a record that is programmed (and committed) on arrival,
+  /// straight into the folded map. Needs an empty tail (prefill).
+  std::uint64_t append_durable(Lba lba, Version version);
+
+  void mark_programmed(std::uint64_t index);
+
+  /// True if record `index` has been programmed. A folded record counts as
+  /// programmed: the only unprogrammed records the fold passes are GC
+  /// copies, and GC waits for every copy before it picks the next victim,
+  /// so none of them is ever the source of another relocation.
+  bool programmed(std::uint64_t index) const;
+
+  /// Everything appended so far becomes atomically durable.
+  void mark_commit_point();
+
+  std::uint64_t size() const noexcept { return base_ + tail_.size(); }
+  /// One past the longest prefix of programmed (or GC-redundant) records.
+  std::uint64_t programmed_prefix() const noexcept { return prefix_; }
+  /// Records kept above the folded map.
+  std::size_t retained() const noexcept { return tail_.size(); }
+
+  /// Records [0, programmed_prefix()), applied in log order.
+  std::unordered_map<Lba, Version> durable_in_order_recovery() const;
+  /// Every programmed record, applied in log order.
+  std::unordered_map<Lba, Version> durable_programmed_set() const;
+  /// Records up to the last commit point (transactional history only).
+  std::unordered_map<Lba, Version> durable_committed() const;
+
+ private:
+  struct Record {
+    Lba lba;
+    Version version;
+    bool programmed;
+    bool gc_redundant;
+  };
+
+  void advance_prefix();
+  void maybe_fold();
+  /// The folded map plus the tail records below `end` (only the programmed
+  /// ones if `programmed_only`).
+  std::unordered_map<Lba, Version> durable_through(std::uint64_t end,
+                                                   bool programmed_only) const;
+
+  bool transactional_;
+  LbaTable<Version> folded_;  // records [0, base_), applied in log order
+  std::vector<Record> tail_;  // records [base_, size())
+  std::uint64_t base_ = 0;
+  std::uint64_t prefix_ = 0;
+  std::uint64_t commit_point_ = 0;  // transactional only
+};
+
 class SegmentLog {
  public:
   struct Params {
@@ -46,8 +132,13 @@ class SegmentLog {
     std::uint64_t segments_erased = 0;
   };
 
-  SegmentLog(sim::Simulator& sim, NandArray& nand) : SegmentLog(sim, nand, Params{}) {}
-  SegmentLog(sim::Simulator& sim, NandArray& nand, Params params);
+  /// `mode` is the device's barrier mode; a kTransactional log keeps its
+  /// history back to the last commit point.
+  SegmentLog(sim::Simulator& sim, NandArray& nand,
+             BarrierMode mode = BarrierMode::kNone)
+      : SegmentLog(sim, nand, mode, Params{}) {}
+  SegmentLog(sim::Simulator& sim, NandArray& nand, BarrierMode mode,
+             Params params);
 
   /// Spawns the background GC thread. Call once before appends.
   void start();
@@ -74,35 +165,42 @@ class SegmentLog {
   sim::Task read(Lba lba);
 
   /// Records a transactional commit point: everything appended so far is
-  /// atomically durable (used by BarrierMode::kTransactional).
-  void mark_commit_point();
+  /// atomically durable (kTransactional logs only).
+  void mark_commit_point() { history_.mark_commit_point(); }
 
   // ---- crash / durability analysis (non-destructive) --------------------
 
   /// Durable state under in-order recovery: longest programmed prefix of
   /// the append log, applied in log order.
-  std::unordered_map<Lba, Version> durable_in_order_recovery() const;
+  std::unordered_map<Lba, Version> durable_in_order_recovery() const {
+    return history_.durable_in_order_recovery();
+  }
 
   /// Durable state when every individually-programmed page survives
   /// (no-barrier or in-order-writeback devices), applied in log order.
-  std::unordered_map<Lba, Version> durable_programmed_set() const;
+  std::unordered_map<Lba, Version> durable_programmed_set() const {
+    return history_.durable_programmed_set();
+  }
 
   /// Durable state under transactional write-back: entries up to the last
-  /// commit point only.
-  std::unordered_map<Lba, Version> durable_committed() const;
+  /// commit point only (kTransactional logs only).
+  std::unordered_map<Lba, Version> durable_committed() const {
+    return history_.durable_committed();
+  }
 
   /// Index (into the append history) one past the longest programmed
-  /// prefix. Used by the cache to answer flush().
-  std::uint64_t programmed_prefix() const noexcept { return prefix_; }
+  /// prefix.
+  std::uint64_t programmed_prefix() const noexcept {
+    return history_.programmed_prefix();
+  }
 
   std::uint64_t append_count() const noexcept { return history_.size(); }
+  /// Append records kept in memory (the unfolded tail of the history).
+  std::size_t retained_history() const noexcept { return history_.retained(); }
   std::uint64_t free_segment_count() const noexcept {
     return free_segments_.size();
   }
   const GcStats& gc_stats() const noexcept { return gc_; }
-
-  /// Notified every time the programmed prefix advances.
-  sim::Notify& prefix_advanced() noexcept { return prefix_advanced_; }
 
   /// True while GC is erasing a segment (the controller stalls host
   /// commands during the erase burst; source of the 99.99th-pct tails).
@@ -119,16 +217,6 @@ class SegmentLog {
   std::optional<Version> mapped_version(Lba lba) const;
 
  private:
-  struct AppendRecord {
-    Lba lba;
-    Version version;
-    bool programmed = false;
-    /// GC relocation of content whose source copy was already programmed:
-    /// recovery can fall back to the source (its segment is not erased
-    /// until the copy lands), so an in-flight relocation must not truncate
-    /// the in-order-recovery prefix.
-    bool gc_redundant = false;
-  };
   struct PhysSlot {
     Lba lba = 0;
     bool valid = false;
@@ -159,21 +247,18 @@ class SegmentLog {
     std::uint64_t history_index = 0;  // record that installed this mapping
   };
 
-  /// Allocates the next physical slot and history index for `lba`, whose
-  /// mapping entry is `m`, and remaps `m` there (invalidating the slot it
-  /// pointed at). Synchronous (no suspension between the capacity check and
-  /// the assignment).
-  struct Alloc {
-    SlotId slot;
-    std::uint64_t history_index;
-  };
-  Alloc allocate_slot(Lba lba, Version version, Mapping& m);
+  /// Takes the next physical slot for `lba`, whose mapping entry is `m`,
+  /// and invalidates the slot `m` pointed at. The caller remaps `m`.
+  SlotId take_slot(Lba lba, const Mapping& m);
+
+  /// take_slot() plus a history record; remaps `m` to the new slot.
+  /// Synchronous (no suspension between the capacity check and the
+  /// assignment).
+  Reservation allocate_slot(Lba lba, Version version, Mapping& m,
+                            bool gc_redundant);
 
   /// True if a slot can be allocated right now.
   bool space_available() const noexcept;
-
-  void mark_programmed(std::uint64_t history_index);
-  void advance_prefix();
 
   sim::Task gc_loop();
   sim::Task relocate_slot(SlotId victim_slot, sim::Semaphore& inflight);
@@ -194,13 +279,10 @@ class SegmentLog {
   /// LBA and never erased (an overwrite remaps in place).
   LbaTable<Mapping> mapping_;
 
-  std::vector<AppendRecord> history_;  // append order = persist order
-  std::uint64_t prefix_ = 0;           // programmed prefix watermark
-  std::uint64_t commit_point_ = 0;     // for kTransactional
+  AppendHistory history_;  // append order = persist order
 
   sim::Notify space_freed_;
   sim::Notify gc_wake_;
-  sim::Notify prefix_advanced_;
   bool erasing_ = false;
   sim::Notify erase_done_;
   GcStats gc_;

@@ -157,7 +157,9 @@ TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   s.sim.spawn("t", body());
   s.sim.run();
   // Transfer history: epoch of lba 4 must be greater than epoch of 1..3.
-  const auto& h = s.dev.transfer_history();
+  const auto h = s.dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   std::uint64_t epoch_of_4 = 0, max_epoch_123 = 0;
   for (const auto& e : h) {
     if (e.lba == 4)
@@ -209,7 +211,9 @@ TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {
   s.sim.run();
   ASSERT_NE(s.blk.epoch_fence(), nullptr);
   EXPECT_EQ(s.blk.epoch_fence()->epochs_closed(), 1u);
-  const auto& h = s.dev.transfer_history();
+  const auto h = s.dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 3u);
   EXPECT_EQ(h[0].lba, 1u) << "peer's pre-barrier write transferred below";
   EXPECT_EQ(h[1].lba, 2u);
@@ -238,7 +242,9 @@ TEST(BlockLayerMqTest, OrderlessPeerWriteEnqueuedBeforeBarrierTransfersBelow) {
   s.sim.run();
   EXPECT_EQ(pre->fence_epoch, 0u);
   EXPECT_EQ(post->fence_epoch, 1u);
-  const auto& h = s.dev.transfer_history();
+  const auto h = s.dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 3u);
   EXPECT_EQ(h[0].lba, 1u) << "pre-barrier orderless write transferred below";
   EXPECT_EQ(h[1].lba, 2u);

@@ -100,7 +100,10 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
 
   const sim::SimTime crash_at = rng.uniform(50, 40'000) * 1_us;
   sim.run_until(crash_at);
-  EXPECT_TRUE(epoch_prefix_holds(dev.transfer_history(), dev.durable_state()))
+  const auto h = dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
+  EXPECT_TRUE(epoch_prefix_holds(h, dev.durable_state()))
       << "mode=" << flash::to_string(mode) << " plp=" << plp
       << " seed=" << seed << " t=" << crash_at;
 }
@@ -158,6 +161,8 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
     // *intended* epochs (one per write, in submission = version order).
     std::vector<flash::WritebackCache::Entry> intended =
         dev.transfer_history();
+    ASSERT_TRUE(intended.empty() || intended.front().order == 0)
+        << "transfer history incomplete";
     std::sort(intended.begin(), intended.end(),
               [](const auto& a, const auto& b) {
                 return a.version < b.version;

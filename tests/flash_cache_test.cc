@@ -23,7 +23,9 @@ TEST(WritebackCacheTest, InsertAssignsDenseOrders) {
   sim.run();
   EXPECT_EQ(cache.next_order(), 3u);
   EXPECT_EQ(cache.dirty_count(), 3u);
-  const auto& h = cache.transfer_history();
+  const auto h = cache.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   EXPECT_EQ(h[0].order, 0u);
   EXPECT_EQ(h[2].epoch, 1u);
   EXPECT_TRUE(h[2].barrier);
@@ -231,7 +233,10 @@ TEST(WritebackCacheTest, OutOfOrderDrainKeepsWindowConsistent) {
   EXPECT_EQ(cache.dirty_count(), 0u);
   EXPECT_TRUE(cache.drained_through(100));
   EXPECT_TRUE(cache.undrained_entries().empty());
-  EXPECT_EQ(cache.transfer_history().size(), 5u);
+  const auto h = cache.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
+  EXPECT_EQ(h.size(), 5u);
 }
 
 TEST(WritebackCacheTest, DoubleOrUnclaimedDrainInsideWindowFails) {
@@ -252,6 +257,55 @@ TEST(WritebackCacheTest, DoubleOrUnclaimedDrainInsideWindowFails) {
   EXPECT_THROW(cache.mark_drained(2), bio::CheckFailure) << "not claimed";
   EXPECT_EQ(cache.dirty_count(), 2u);
   EXPECT_FALSE(cache.drained_through(1));
+}
+
+TEST(WritebackCacheTest, TransferHistoryKeepsTheLastWindow) {
+  constexpr std::uint64_t kWindow = WritebackCache::kHistoryWindow;
+  constexpr std::uint64_t kInserts = 2 * kWindow + 7;
+  Simulator sim;
+  WritebackCache cache(sim, 8);
+  // After `n` inserts the history is orders [max(0, n - kWindow), n), in
+  // order, complete exactly while nothing has been dropped.
+  auto check = [&](std::uint64_t n) {
+    const auto h = cache.transfer_history();
+    const std::uint64_t first = n > kWindow ? n - kWindow : 0;
+    ASSERT_EQ(h.size(), n - first) << "after " << n << " inserts";
+    EXPECT_EQ(h.empty() || h.front().order == 0, first == 0)
+        << "completeness after " << n << " inserts";
+    for (std::uint64_t i = 0; i < h.size(); ++i) {
+      const std::uint64_t order = first + i;
+      ASSERT_EQ(h[i].order, order) << "after " << n << " inserts";
+      EXPECT_EQ(h[i].lba, order % 100);
+      EXPECT_EQ(h[i].version, order + 1);
+      EXPECT_EQ(h[i].epoch, order / 64);
+      EXPECT_EQ(h[i].barrier, order % 64 == 63);
+    }
+  };
+  const std::uint64_t checkpoints[] = {1, kWindow - 1, kWindow, kWindow + 1,
+                                       kWindow + 1000, kInserts};
+  auto writer = [&]() -> Task {
+    const std::uint64_t* next = checkpoints;
+    for (std::uint64_t o = 0; o < kInserts; ++o) {
+      co_await cache.insert(o % 100, o + 1, o / 64, o % 64 == 63);
+      if (o + 1 == *next) {
+        check(o + 1);
+        ++next;
+      }
+    }
+  };
+  auto drainer = [&]() -> Task {
+    for (std::uint64_t o = 0; o < kInserts; ++o) {
+      WritebackCache::Entry e;
+      co_await cache.claim_next(e);
+      cache.mark_drained(e.order);
+    }
+  };
+  sim.spawn("w", writer());
+  sim.spawn("d", drainer());
+  sim.run();
+  EXPECT_EQ(cache.next_order(), kInserts);
+  EXPECT_EQ(cache.transfer_history().size(), kWindow)
+      << "the history never grows past its window";
 }
 
 }  // namespace

@@ -148,7 +148,9 @@ TEST(DeviceTest, BarrierWriteAdvancesEpoch) {
   sim.spawn("t", body());
   sim.run();
   EXPECT_EQ(dev.current_epoch(), 1u);
-  const auto& h = dev.transfer_history();
+  const auto h = dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].epoch, 0u);
   EXPECT_TRUE(h[0].barrier);
@@ -190,7 +192,9 @@ TEST(DeviceTest, OrderedPriorityFencesTransferOrder) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
+  const auto h = dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 4u);
   // The barrier write transferred after both epoch-0 writes and before the
   // epoch-1 write.
@@ -278,7 +282,9 @@ TEST(DeviceTest, InOrderRecoveryDurableStateIsTransferPrefix) {
   // Stop mid-flight: some programs are still outstanding.
   sim.run_until(300_us);
   auto durable = dev.durable_state();
-  const auto& history = dev.transfer_history();
+  const auto history = dev.transfer_history();
+  ASSERT_TRUE(history.empty() || history.front().order == 0)
+      << "transfer history incomplete";
   // Prefix property: if history[i] is durable with its version, every
   // earlier history entry must be durable too (last-write-wins aside, all
   // lbas here are distinct).
@@ -327,7 +333,9 @@ TEST(DeviceTest, SimpleWritesBehindOrderedWait) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
+  const auto h = dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].lba, 1u) << "simple write must not pass the ordered one";
   EXPECT_EQ(h[1].lba, 2u);
@@ -356,7 +364,9 @@ TEST(DeviceTest, EpochTagFencesTransfersAcrossPorts) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
+  const auto h = dev.transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].lba, 3u) << "barrier transferred first despite later seq";
   EXPECT_EQ(h[1].lba, 9u);

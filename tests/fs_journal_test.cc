@@ -212,7 +212,10 @@ TEST(BarrierFsTest, FdatabarrierEnforcesEpochOrdering) {
   x.sim().run();
   // Transfer history: world's epoch strictly greater than hello's.
   std::uint64_t hello_epoch = 0, world_epoch = 0;
-  for (const auto& e : x.dev().transfer_history()) {
+  const auto h = x.dev().transfer_history();
+  ASSERT_TRUE(h.empty() || h.front().order == 0)
+      << "transfer history incomplete";
+  for (const auto& e : h) {
     if (e.lba == hello_lba) hello_epoch = std::max(hello_epoch, e.epoch);
     if (e.lba == world_lba) world_epoch = e.epoch;
   }
