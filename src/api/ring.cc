@@ -199,13 +199,6 @@ void Ring::complete(Core& core, const Sqe& sqe, std::int32_t res) {
   core.cq_ready.notify_all();
 }
 
-bool Ring::peek_cqe(Cqe& out) {
-  if (core_->cq.empty()) return false;
-  out = core_->cq.front();
-  core_->cq.pop_front();
-  return true;
-}
-
 sim::TaskOf<Cqe> Ring::wait_cqe() {
   // Local shared_ptr copy taken before the first suspension: the Ring (and
   // with it `this`) may be destroyed while this coroutine sleeps.
@@ -218,10 +211,6 @@ sim::TaskOf<Cqe> Ring::wait_cqe() {
 }
 
 std::size_t Ring::cq_ready() const noexcept { return core_->cq.size(); }
-
-std::uint32_t Ring::sq_pending() const noexcept {
-  return static_cast<std::uint32_t>(sq_.size());
-}
 
 std::uint32_t Ring::in_flight() const noexcept { return core_->in_flight; }
 

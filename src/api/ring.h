@@ -4,7 +4,7 @@
 // fills a submission queue with sqe-like ops (read/write/fsync/fdatasync/
 // fbarrier/fdatabarrier), submit() dispatches the batch as coroutines over
 // the existing Vfs paths, and completions are reaped out of order from a
-// cqe queue (peek_cqe / wait_cqe), each carrying the sqe's user_data and a
+// cqe queue (wait_cqe), each carrying the sqe's user_data and a
 // res that is pages-transferred (>= 0) or a negated errno.
 //
 // Link flags encode the paper's order-preserving dispatch at the host API:
@@ -124,13 +124,10 @@ class Ring {
 
   // ---- completion --------------------------------------------------------
 
-  /// Non-blocking reap; false when no completion is queued.
-  bool peek_cqe(Cqe& out);
   /// Blocks the calling simulated thread until a completion is available.
   sim::TaskOf<Cqe> wait_cqe();
 
   std::size_t cq_ready() const noexcept;
-  std::uint32_t sq_pending() const noexcept;
   /// Sqes dispatched whose completion has not yet been queued.
   std::uint32_t in_flight() const noexcept;
 

@@ -2,28 +2,6 @@
 
 namespace bio::api {
 
-const char* to_string(Syscall s) noexcept {
-  switch (s) {
-    case Syscall::kNone: return "none";
-    case Syscall::kFsync: return "fsync";
-    case Syscall::kFdatasync: return "fdatasync";
-    case Syscall::kFbarrier: return "fbarrier";
-    case Syscall::kFdatabarrier: return "fdatabarrier";
-    case Syscall::kOsync: return "osync";
-    case Syscall::kDsync: return "dsync";
-  }
-  return "?";
-}
-
-const char* to_string(SyncIntent i) noexcept {
-  switch (i) {
-    case SyncIntent::kOrder: return "order";
-    case SyncIntent::kDurability: return "durability";
-    case SyncIntent::kFullSync: return "full-sync";
-  }
-  return "?";
-}
-
 SyncPolicy SyncPolicy::for_stack(core::StackKind kind) noexcept {
   switch (kind) {
     case core::StackKind::kExt4DR:

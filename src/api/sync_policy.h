@@ -46,9 +46,6 @@ enum class SyncIntent : std::uint8_t {
   kFullSync,    // durability including metadata (fsync flavour)
 };
 
-const char* to_string(Syscall s) noexcept;
-const char* to_string(SyncIntent i) noexcept;
-
 struct SyncPolicy {
   Syscall order = Syscall::kFdatasync;
   Syscall durability = Syscall::kFdatasync;

@@ -74,10 +74,6 @@ const SyncPolicy& Vfs::default_policy() const noexcept {
   return mounts_.front()->policy;
 }
 
-fs::Filesystem& Vfs::filesystem() noexcept {
-  return *mounts_.front()->filesystem;
-}
-
 sim::Simulator& Vfs::simulator() noexcept {
   return mounts_.front()->filesystem->sim();
 }

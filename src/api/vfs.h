@@ -226,8 +226,6 @@ class Vfs {
   std::size_t open_fds() const noexcept { return open_fds_; }
   /// Node-wide statistics (every mount plus unroutable-name errors).
   const Stats& stats() const noexcept { return stats_; }
-  /// The first mount's current filesystem (single-volume compat accessor).
-  fs::Filesystem& filesystem() noexcept;
   /// The node's simulator (all mounts share it) — where api::Ring spawns
   /// its chain drivers.
   sim::Simulator& simulator() noexcept;

@@ -14,7 +14,7 @@ StorageDevice::StorageDevice(sim::Simulator& sim, DeviceProfile profile)
       log_(sim, nand_, profile_.barrier_mode),
       cache_(sim, profile_.cache_entries),
       queue_event_(sim),
-      drain_slots_(sim, profile_.effective_drain_inflight()),
+      drain_slots_(sim, 2 * profile_.geometry.chips()),
       epoch_drained_(sim),
       txn_wake_(sim),
       txn_done_(sim) {
@@ -188,7 +188,6 @@ void StorageDevice::complete(Port& port, SlotIter it) {
 }
 
 sim::Task StorageDevice::gc_stall() {
-  if (!profile_.gc_command_stall) co_return;
   while (log_.erasing()) co_await log_.erase_done().wait();
 }
 

@@ -237,7 +237,8 @@ class StorageDevice {
   /// (mode-aware: PLP short-circuits, transactional forces a batch).
   sim::Task wait_persisted_through(std::uint64_t through);
   sim::Task do_flush();
-  /// Stalls while GC erases (profile.gc_command_stall).
+  /// Host commands stall while GC erases a segment — the classic GC pause
+  /// that produces 99.99th-percentile latency tails (Table 1).
   sim::Task gc_stall();
 
   // Drain policies.

@@ -46,15 +46,6 @@ struct DeviceProfile {
   /// True if the device implements FUA as write-then-full-flush (common on
   /// SATA); false for native FUA (UFS command set, NVMe).
   bool fua_implies_flush = false;
-  /// If true, host commands stall while GC erases a segment — the classic
-  /// GC pause that produces 99.99th-percentile latency tails (Table 1).
-  bool gc_command_stall = true;
-  /// Max concurrent cache->flash programs (0 = 2 × chips).
-  std::uint32_t drain_inflight = 0;
-
-  std::uint32_t effective_drain_inflight() const noexcept {
-    return drain_inflight != 0 ? drain_inflight : 2 * geometry.chips();
-  }
 
   /// Applies the barrier capability the experiment wants: enables the given
   /// mode and (for non-PLP devices) the program penalty.

@@ -58,8 +58,5 @@ enum class [[nodiscard]] IoStatus : std::uint8_t {
 };
 
 const char* to_string(BarrierMode m) noexcept;
-const char* to_string(Priority p) noexcept;
-const char* to_string(OpCode op) noexcept;
-const char* to_string(IoStatus s) noexcept;
 
 }  // namespace bio::flash

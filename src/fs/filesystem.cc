@@ -30,9 +30,9 @@ Filesystem::Filesystem(sim::Simulator& sim, blk::BlockLayer& blk,
   }
   root_.ino = 0;
   root_.name = "/";
-  next_ino_ = std::max<std::uint32_t>(1, cfg_.dir_shards);
+  next_ino_ = kDirShards;
   data_next_ = layout_.data_base();
-  shard_entries_.resize(std::max<std::uint32_t>(1, cfg_.dir_shards));
+  shard_entries_.resize(kDirShards);
   journal_->set_close_hook([this](Txn& txn) { snapshot_metadata(txn); });
   // errors=remount-ro: a dead journal degrades the volume read-only.
   journal_->set_abort_hook([this] { degraded_ = true; });
@@ -87,8 +87,8 @@ void Filesystem::mount(const RecoveryReport& recovered) {
 }
 
 flash::Lba Filesystem::dir_block_of(const std::string& name) const {
-  const std::uint32_t shard = static_cast<std::uint32_t>(
-      std::hash<std::string>{}(name) % std::max<std::uint32_t>(1, cfg_.dir_shards));
+  const std::uint32_t shard =
+      static_cast<std::uint32_t>(std::hash<std::string>{}(name) % kDirShards);
   return layout_.inode_block(shard);
 }
 
@@ -286,8 +286,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   BIO_CHECK_MSG(page + npages <= f.extent_blocks, "write beyond extent");
   if (degraded_) co_return;  // EROFS: api::Vfs reports it; nothing dirties
   ++stats_.writes;
-  co_await sim_.delay(cfg_.write_syscall_cpu *
-                      static_cast<sim::SimTime>(npages));
+  co_await sim_.delay(kWriteSyscallCpu * static_cast<sim::SimTime>(npages));
   co_await throttle_writer();
 
   // Journal-handle discipline (jbd2_journal_get_write_access): the inode
@@ -300,7 +299,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   // any commit would ever cover. The whole mutation — page cache, i_size,
   // mtime, dirty flags — now lands in one synchronous stretch after the
   // registration returns.
-  const bool touches_meta = sim_.now() / cfg_.timer_tick != f.mtime_tick ||
+  const bool touches_meta = sim_.now() / kTimerTick != f.mtime_tick ||
                             page + npages > f.size_blocks || f.size_dirty;
   std::uint64_t tid = 0;
   if (touches_meta)
@@ -317,7 +316,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   // ITS registration carries those changes and this one only re-dirties.
   const bool grew = page + npages > f.size_blocks;
   if (grew) f.size_blocks = page + npages;
-  const sim::SimTime tick = sim_.now() / cfg_.timer_tick;
+  const sim::SimTime tick = sim_.now() / kTimerTick;
   if (tick != f.mtime_tick) f.mtime_tick = tick;
   if (tid != 0) {
     f.txn_id = tid;
@@ -336,7 +335,7 @@ sim::TaskOf<FsStatus> Filesystem::read(Inode& f, std::uint32_t page,
   for (std::uint32_t i = 0; i < npages; ++i) {
     const std::uint32_t p = page + i;
     if (cache_.find(f.ino, p) != nullptr) {
-      co_await sim_.delay(cfg_.write_syscall_cpu);  // page-cache hit
+      co_await sim_.delay(kWriteSyscallCpu);  // page-cache hit
     } else {
       blk::RequestPtr r = blk_.pool().make_read(f.lba_of_page(p));
       blk_.submit(r);
@@ -542,125 +541,96 @@ sim::TaskOf<FsStatus> Filesystem::wait_txn_durable(std::uint64_t tid) {
 
 // ---- synchronization ---------------------------------------------------------
 
+// fsync and fdatasync differ in two inputs: the dirt that forces a metadata
+// commit (any inode change vs an i_size change; fdatasync skips mtime-only
+// dirt, Fig 11) and the transaction a concurrent commit may still hold it
+// in (i_sync_tid vs i_datasync_tid). Each journal kind runs both from one
+// coroutine, which fsync/fdatasync return directly: a call costs one frame.
+
 sim::TaskOf<FsStatus> Filesystem::fsync(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fsyncs;
-  const sim::SimTime t0 = sim_.now();
-  FsStatus status = FsStatus::kOk;
-  switch (cfg_.journal) {
-    case JournalKind::kJbd2: {
-      // Fig 3 / Eq. 2: D -> wait -> trigger JBD -> wait txn durable.
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/false, false);
-      co_await wait_file_writebacks(f, reqs);
-      co_await wait_requests(reqs);  // Wait-on-Transfer
-      note_writeback_failures(f, reqs);
-      if (f.meta_dirty || f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        // If the inode's transaction had already committed (group commit),
-        // the wait above returned without a flush covering this call's
-        // data — issue it (ext4_sync_file's needs-barrier path).
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (txn_in_flight(f.txn_id)) {
-        // A concurrent syscall's commit_metadata() cleared the flags but
-        // its commit — the one holding this inode's metadata — is still
-        // in flight: fsync may not return before it is durable (ext4's
-        // jbd2_log_wait_commit on i_sync_tid).
-        status = co_await wait_txn_durable(f.txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (!cfg_.nobarrier) {
-        co_await blk_.flush_and_wait();  // fdatasync-degenerate path
-      }
-      break;
-    }
-    case JournalKind::kBarrierFs: {
-      // Eq. 3: dispatch D as order-preserving, commit without any waits on
-      // transfer; a single sleep until the flush thread reports durability.
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/true, false);
-      co_await wait_file_writebacks(f, reqs);
-      if (f.meta_dirty || f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.txn_id)) {
-        status = co_await wait_txn_durable(f.txn_id);  // i_sync_tid parity
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else {
-        co_await wait_requests(reqs);
-        co_await blk_.flush_and_wait();
-      }
-      // The data transfers this call covers completed above on every path
-      // but the failed-commit ones; settle them so a dead carrier is
-      // recorded now, not swept silently later.
-      co_await wait_requests(reqs);
-      note_writeback_failures(f, reqs);
-      break;
-    }
-    case JournalKind::kOptFs: {
-      status = co_await osync(f, /*wait_transfer=*/true);
-      break;
-    }
-  }
-  fsync_latency_.add(sim_.now() - t0);
-  co_return status;
+  return sync_file(f, /*datasync=*/false);
 }
 
 sim::TaskOf<FsStatus> Filesystem::fdatasync(Inode& f) {
+  return sync_file(f, /*datasync=*/true);
+}
+
+sim::TaskOf<FsStatus> Filesystem::sync_file(Inode& f, bool datasync) {
+  if (cfg_.journal == JournalKind::kJbd2) return sync_jbd2(f, datasync);
+  if (cfg_.journal == JournalKind::kBarrierFs)
+    return sync_barrierfs(f, datasync);
+  return sync_optfs(f, datasync);
+}
+
+sim::TaskOf<FsStatus> Filesystem::sync_jbd2(Inode& f, bool datasync) {
   if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fdatasyncs;
+  ++(datasync ? stats_.fdatasyncs : stats_.fsyncs);
+  const sim::SimTime t0 = sim_.now();
+  const std::uint64_t& sync_tid = datasync ? f.datasync_txn_id : f.txn_id;
   FsStatus status = FsStatus::kOk;
-  switch (cfg_.journal) {
-    case JournalKind::kJbd2: {
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/false, false);
-      co_await wait_file_writebacks(f, reqs);
-      co_await wait_requests(reqs);
-      note_writeback_failures(f, reqs);
-      if (f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.datasync_txn_id)) {
-        // The transaction holding the latest i_size change is still in
-        // flight (a concurrent sync cleared size_dirty mid-commit):
-        // fdatasync waits it durable — ext4's i_datasync_tid — while
-        // mtime-only dirt keeps skipping the commit (Fig 11).
-        status = co_await wait_txn_durable(f.datasync_txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (!cfg_.nobarrier) {
-        co_await blk_.flush_and_wait();
-      }
-      break;
-    }
-    case JournalKind::kBarrierFs: {
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/true, false);
-      co_await wait_file_writebacks(f, reqs);
-      if (f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.datasync_txn_id)) {
-        status = co_await wait_txn_durable(f.datasync_txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else {
-        co_await wait_requests(reqs);
-        co_await blk_.flush_and_wait();
-      }
-      co_await wait_requests(reqs);  // settle before recording failures
-      note_writeback_failures(f, reqs);
-      break;
-    }
-    case JournalKind::kOptFs: {
-      status = co_await osync(f, /*wait_transfer=*/true);
-      break;
-    }
+  // Fig 3 / Eq. 2: D -> wait -> trigger JBD -> wait txn durable.
+  co_await wait_stable_pages(f);
+  std::vector<blk::RequestPtr> reqs = submit_data(f, /*ordered=*/false, false);
+  co_await wait_file_writebacks(f, reqs);
+  co_await wait_requests(reqs);  // Wait-on-Transfer
+  note_writeback_failures(f, reqs);
+  if (datasync ? f.size_dirty : f.meta_dirty || f.size_dirty) {
+    status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
+    // If the inode's transaction had already committed (group commit),
+    // the wait above returned without a flush covering this call's
+    // data — issue it (ext4_sync_file's needs-barrier path).
+    if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
+  } else if (txn_in_flight(sync_tid)) {
+    // A concurrent syscall's commit_metadata() cleared the flags but its
+    // commit — the one holding this inode's metadata — is still in
+    // flight: the call may not return before it is durable (ext4's
+    // jbd2_log_wait_commit on i_sync_tid / i_datasync_tid).
+    status = co_await wait_txn_durable(sync_tid);
+    if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
+  } else if (!cfg_.nobarrier) {
+    co_await blk_.flush_and_wait();  // fdatasync-degenerate path
   }
+  if (!datasync) fsync_latency_.add(sim_.now() - t0);
+  co_return status;
+}
+
+sim::TaskOf<FsStatus> Filesystem::sync_barrierfs(Inode& f, bool datasync) {
+  if (degraded_) co_return FsStatus::kRoFs;
+  ++(datasync ? stats_.fdatasyncs : stats_.fsyncs);
+  const sim::SimTime t0 = sim_.now();
+  const std::uint64_t& sync_tid = datasync ? f.datasync_txn_id : f.txn_id;
+  FsStatus status = FsStatus::kOk;
+  // Eq. 3: dispatch D as order-preserving, commit without any waits on
+  // transfer; a single sleep until the flush thread reports durability.
+  co_await wait_stable_pages(f);
+  std::vector<blk::RequestPtr> reqs = submit_data(f, /*ordered=*/true, false);
+  co_await wait_file_writebacks(f, reqs);
+  if (datasync ? f.size_dirty : f.meta_dirty || f.size_dirty) {
+    status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
+    if (status == FsStatus::kOk)
+      co_await ensure_data_durable(f, reqs);  // already-committed case
+  } else if (txn_in_flight(sync_tid)) {
+    status = co_await wait_txn_durable(sync_tid);  // i_sync_tid parity
+    if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
+  } else {
+    co_await wait_requests(reqs);
+    co_await blk_.flush_and_wait();
+  }
+  // The data transfers this call covers completed above on every path but
+  // the failed-commit ones; settle them so a dead carrier is recorded now,
+  // not swept silently later.
+  co_await wait_requests(reqs);
+  note_writeback_failures(f, reqs);
+  if (!datasync) fsync_latency_.add(sim_.now() - t0);
+  co_return status;
+}
+
+sim::TaskOf<FsStatus> Filesystem::sync_optfs(Inode& f, bool datasync) {
+  if (degraded_) co_return FsStatus::kRoFs;
+  ++(datasync ? stats_.fdatasyncs : stats_.fsyncs);
+  const sim::SimTime t0 = sim_.now();
+  const FsStatus status = co_await osync(f, /*wait_transfer=*/true);
+  if (!datasync) fsync_latency_.add(sim_.now() - t0);
   co_return status;
 }
 
@@ -738,7 +708,7 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f, bool wait_transfer) {
   // workloads), journals overwrites, writes allocating pages in place,
   // commits with Wait-on-Transfer, and never flushes.
   const std::size_t dirty_pages = cache_.dirty_count();
-  co_await sim_.delay(cfg_.osync_scan_cpu_per_page *
+  co_await sim_.delay(kOsyncScanCpuPerPage *
                       static_cast<sim::SimTime>(dirty_pages + 1));
   co_await wait_stable_pages(f);
   // Selective data journaling adds one log block per overwrite page. The
@@ -854,7 +824,7 @@ sim::Task Filesystem::pdflush_loop() {
     while (cache_.dirty_count() < cfg_.writeback_high_watermark)
       co_await cache_.dirtied().wait();
     while (cache_.dirty_count() > cfg_.writeback_low_watermark) {
-      cache_.all_dirty(cfg_.writeback_batch * blk::kMaxMergedBlocks, keys);
+      cache_.all_dirty(kWritebackBatch * blk::kMaxMergedBlocks, keys);
       if (keys.empty()) break;
 
       // Group into contiguous runs per file.
@@ -879,7 +849,7 @@ sim::Task Filesystem::pdflush_loop() {
       blk::RequestPtr skipped_carrier;
       bool journal_batch_full = false;
       for (const PageCache::PageKey& key : keys) {
-        if (reqs.size() >= cfg_.writeback_batch) break;
+        if (reqs.size() >= kWritebackBatch) break;
         const PageCache::PageState* st = cache_.find(key.ino, key.page);
         if (st->writeback != nullptr && !st->writeback->completion.is_set()) {
           // WB_SYNC_NONE: skip pages with an in-flight copy.

@@ -216,6 +216,15 @@ class Filesystem {
   sim::Task throttle_writer();
   flash::Lba dir_block_of(const std::string& name) const;
   sim::TaskOf<FsStatus> commit_metadata(Inode& f, Journal::WaitMode mode);
+  /// fsync (datasync = false) / fdatasync (true): the journal kind's
+  /// coroutine, returned without a wrapping frame.
+  sim::TaskOf<FsStatus> sync_file(Inode& f, bool datasync);
+  /// Eq. 2 (Fig 3): transfer-and-flush around a durable JBD2 commit.
+  sim::TaskOf<FsStatus> sync_jbd2(Inode& f, bool datasync);
+  /// Eq. 3: order-preserving dispatch, one wait for the durable commit.
+  sim::TaskOf<FsStatus> sync_barrierfs(Inode& f, bool datasync);
+  /// OptFS: both calls are an osync with Wait-on-Transfer.
+  sim::TaskOf<FsStatus> sync_optfs(Inode& f, bool datasync);
 
   sim::Simulator& sim_;
   blk::BlockLayer& blk_;

@@ -377,26 +377,4 @@ void spawn_ring_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
   vol.sim().spawn("ring:setup", setup_and_run(std::move(ctx)));
 }
 
-RingWorkloadResult run_ring_writers(core::Stack& stack,
-                                    const RingWorkloadParams& params) {
-  stack.start();
-  api::Vfs vfs(stack);
-  core::Volume& vol = stack.volume(0);
-  const std::string prefix =
-      vol.name().empty() ? std::string() : "/" + vol.name() + "/";
-  ConcurrentTrace trace;
-  const sim::SimTime t0 = stack.sim().now();
-  spawn_ring_writers(vol, vfs, prefix, params, trace);
-  stack.sim().run();
-
-  RingWorkloadResult r;
-  r.ops_done = trace.ops_done;
-  r.syncs_done = trace.syncs_done;
-  r.elapsed = stack.sim().now() - t0;
-  if (r.elapsed > 0)
-    r.ops_per_sec = static_cast<double>(r.ops_done + r.syncs_done) /
-                    sim::to_seconds(r.elapsed);
-  return r;
-}
-
 }  // namespace bio::wl

@@ -61,16 +61,4 @@ void spawn_ring_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
                         const RingWorkloadParams& params,
                         ConcurrentTrace& trace);
 
-struct RingWorkloadResult {
-  std::uint64_t ops_done = 0;
-  std::uint64_t syncs_done = 0;
-  double ops_per_sec = 0.0;
-  sim::SimTime elapsed = 0;
-};
-
-/// Bench/test driver: runs the workload to completion on `stack`'s volume 0
-/// (stack must not have been started yet) and reports simulated throughput.
-RingWorkloadResult run_ring_writers(core::Stack& stack,
-                                    const RingWorkloadParams& params);
-
 }  // namespace bio::wl

@@ -19,10 +19,13 @@ RequestPtr wr(Simulator& sim, Lba lba, bool ordered = false,
 TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {
   Simulator sim;
   EpochScheduler s(std::make_unique<NoopScheduler>());
+  EXPECT_STREQ(s.name(), "epoch");
   s.enqueue(wr(sim, 10));
   s.enqueue(wr(sim, 30, true));
+  EXPECT_TRUE(s.has_ordered());
   EXPECT_EQ(s.dequeue()->first_lba(), 10u);
   EXPECT_EQ(s.dequeue()->first_lba(), 30u);
+  EXPECT_FALSE(s.has_ordered());
   EXPECT_FALSE(s.blocked());
   EXPECT_EQ(s.barrier_reassignments(), 0u);
 }

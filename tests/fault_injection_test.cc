@@ -10,9 +10,12 @@
 //   3. A hard fault on a journal write aborts the journal and degrades the
 //      volume read-only: writes and syncs fail EROFS, reads still work,
 //      and a remount over the recovered image is fully usable again.
-//   4. api::Ring reports failures as negative cqe res and cancels the
+//   4. A read that misses the page cache: a transient read fault is retried
+//      by the block layer and pread succeeds; a hard media read fault fails
+//      through unretried and pread returns EIO.
+//   5. api::Ring reports failures as negative cqe res and cancels the
 //      linked remainder of the chain.
-//   5. Errno/to_string stays exhaustive (compile-time switch coverage).
+//   6. Errno/to_string stays exhaustive (compile-time switch coverage).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -247,7 +250,87 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, JournalFaultTest,
                          testing::ValuesIn(kKinds));
 
-// ---- 4. ring: negative res + chain cancellation on EIO ---------------------
+// ---- 4. read faults below a cold page cache -------------------------------
+
+class ReadFaultTest : public testing::TestWithParam<StackKind> {
+ protected:
+  // Writes and fsyncs two pages of "a", then remounts the recovered image
+  // on a fresh stack: its page cache is empty, so every pread reaches the
+  // device.
+  void SetUp() override {
+    StackFixture x(GetParam());
+    api::Vfs vfs(*x.stack);
+    auto body = [&]() -> Task {
+      api::File f = api::must(co_await vfs.open("a", {.create = true}));
+      api::must(co_await vfs.pwrite(f.fd(), 0, 2));
+      api::must(co_await vfs.fsync(f.fd()));
+      api::must(f.close());
+    };
+    x.sim().spawn("t", body());
+    x.sim().run();
+    const fs::Recovery recovery(x.fs().journal(), x.fs().layout(),
+                                x.fs().config());
+    const fs::RecoveryReport report =
+        recovery.recover(x.dev().capture_durable_image().blocks);
+    ASSERT_TRUE(report.clean());
+    stack_ = std::make_unique<core::Stack>(
+        fs::testutil::test_stack_config(GetParam()));
+    stack_->fs().mount(report);
+    stack_->start();
+  }
+
+  // One pread of page 0 under `plan`; returns its errno (kOk on success).
+  Errno read_under(FaultPlan& plan) {
+    stack_->device().install_fault_plan(&plan);
+    api::Vfs vfs(*stack_);
+    Errno seen = Errno::kInval;
+    auto body = [&]() -> Task {
+      api::File f = api::must(co_await vfs.open("a", {}));
+      api::Result<std::uint32_t> r = co_await vfs.pread(f.fd(), 0, 1);
+      seen = r.ok() ? Errno::kOk : r.error();
+      if (r.ok()) {
+        EXPECT_EQ(r.value(), 1u);
+      }
+      api::must(f.close());
+    };
+    stack_->sim().spawn("t", body());
+    stack_->sim().run();
+    return seen;
+  }
+
+  std::unique_ptr<core::Stack> stack_;
+};
+
+TEST_P(ReadFaultTest, TransientReadFaultIsRetried) {
+  FaultPlan plan;
+  plan.add(FaultSpec{FaultKind::kTransientRead, /*at_op=*/1, flash::kAnyLba,
+                     /*torn_keep=*/0, /*count=*/1});
+  EXPECT_EQ(read_under(plan), Errno::kOk);
+  EXPECT_EQ(plan.stats().transient_read, 1u);
+  EXPECT_EQ(plan.stats().total(), 1u);
+  EXPECT_EQ(stack_->blk().stats().transient_faults, 1u);
+  EXPECT_EQ(stack_->blk().stats().io_retries, 1u);
+  EXPECT_EQ(stack_->blk().stats().io_failures, 0u);
+}
+
+TEST_P(ReadFaultTest, HardMediaReadFaultIsEIO) {
+  const fs::Inode* ino = stack_->fs().lookup("a");
+  ASSERT_NE(ino, nullptr);
+  FaultPlan plan;
+  plan.add(FaultSpec{FaultKind::kHardMedia, /*at_op=*/0, ino->lba_of_page(0),
+                     /*torn_keep=*/0, /*count=*/1});
+  EXPECT_EQ(read_under(plan), Errno::kIo);
+  EXPECT_EQ(plan.stats().hard_media, 1u);
+  EXPECT_EQ(plan.stats().total(), 1u);
+  EXPECT_EQ(stack_->blk().stats().hard_faults, 1u);
+  EXPECT_EQ(stack_->blk().stats().io_retries, 0u);
+  EXPECT_EQ(stack_->blk().stats().io_failures, 1u);
+  EXPECT_FALSE(stack_->fs().degraded()) << "a read error never degrades";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ReadFaultTest, testing::ValuesIn(kKinds));
+
+// ---- 5. ring: negative res + chain cancellation on EIO ---------------------
 
 Sqe make_sqe(RingOp op, api::Fd fd, std::uint64_t ud, std::uint32_t page = 0,
              std::uint32_t npages = 0, std::uint8_t flags = 0) {
@@ -302,7 +385,7 @@ TEST(RingFaultTest, HardFaultYieldsNegativeResAndCancelsChain) {
   EXPECT_EQ(res_of(4), 0);     // unlinked nop unaffected
 }
 
-// ---- 5. Errno table stays exhaustive ----------------------------------------
+// ---- 6. Errno table stays exhaustive ----------------------------------------
 
 // Compile-time exhaustiveness: a new Errno enumerator without a row here is
 // a -Wswitch error, forcing this test (and to_string) to be extended.
