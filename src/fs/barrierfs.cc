@@ -31,6 +31,15 @@ sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
 }
 
 sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
+  if (freed(tid)) {
+    // Retired and durably checkpointed. A durability caller is still owed
+    // the flush a retained txn that retired without one would issue below.
+    if (mode == WaitMode::kDurable && freed_unflushed(tid)) {
+      co_await blk_.flush_and_wait();
+      mark_flushed(tid);
+    }
+    co_return;
+  }
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
     if (mode == WaitMode::kDurable) txn.needs_flush = true;
@@ -40,15 +49,16 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
       commit_wake_.notify_all();
     }
   }
+  pin(txn);  // read after the waits below
   switch (mode) {
     case WaitMode::kNone:
       break;
     case WaitMode::kDispatched:
-      co_await txn.dispatched->wait();
+      co_await txn.dispatched.wait();
       break;
     case WaitMode::kDurable:
       txn.needs_flush = true;
-      co_await txn.durable->wait();
+      co_await txn.durable.wait();
       // A retired txn may still owe the caller its durability flush; one
       // that never retired (journal abort woke us) owes nothing but EIO.
       if (!txn.flushed && txn.state == Txn::State::kRetired) {
@@ -59,6 +69,7 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
       }
       break;
   }
+  unpin(txn);
 }
 
 sim::Task BarrierFsJournal::commit_loop() {
@@ -69,8 +80,9 @@ sim::Task BarrierFsJournal::commit_loop() {
     const std::uint64_t tid = commit_requests_.front();
     commit_requests_.pop_front();
     {
-      Txn& txn = get_txn(tid);
-      if (txn.state != Txn::State::kRunning) continue;  // already committed
+      const Txn* txn = find_txn(tid);
+      if (txn == nullptr || txn->state != Txn::State::kRunning)
+        continue;  // already committed
     }
     // §4.3: the running transaction may close only with an empty
     // conflict-page list.
@@ -97,7 +109,7 @@ sim::Task BarrierFsJournal::commit_loop() {
                                          /*ordered=*/true, /*barrier=*/true);
     blk_.submit(txn->jc_req);
 
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     flush_queue_.push_back(txn);
     flush_wake_.notify_all();
   }

@@ -160,19 +160,30 @@ void Filesystem::reclaim(Inode& f) {
   cache_.drop_file(f.ino);
   free_extents_.emplace_back(f.extent_base, f.extent_blocks);
   free_inos_.push_back(f.ino);
+  f.reclaimed = true;
+  // Free the inode, unless remove_name() still holds it across its waits
+  // (it drops it when they end).
+  auto it = std::find_if(
+      unlinked_.begin(), unlinked_.end(),
+      [&f](const std::unique_ptr<Inode>& p) { return p.get() == &f; });
+  if (it == unlinked_.end()) return;
+  std::swap(*it, unlinked_.back());
+  unlinked_.pop_back();
 }
 
 sim::Task Filesystem::remove_name(const std::string& name, bool reclaim_now) {
   auto it = files_.find(name);
   BIO_CHECK_MSG(it != files_.end(), "unlink of missing file: " + name);
-  Inode& f = *it->second;
+  // This call owns the nameless inode until its waits end, so a last close
+  // meanwhile (reclaim) cannot free it under the writes below.
+  std::unique_ptr<Inode> inode = std::move(it->second);
+  Inode& f = *inode;
   if (reclaim_now) reclaim(f);
   const std::uint32_t dead_ino = f.ino;
   by_ino_.erase(dead_ino);
   shard_entries_[static_cast<std::size_t>(dir_block_of(name) -
                                           layout_.inode_base())]
       .erase(name);
-  unlinked_.push_back(std::move(it->second));  // keep alive: open handles
   files_.erase(it);
   ++stats_.unlinks;
 
@@ -184,6 +195,7 @@ sim::Task Filesystem::remove_name(const std::string& name, bool reclaim_now) {
   // ext4 keeps the same inode/transaction linkage.
   f.txn_id = tid;
   f.meta_dirty = true;
+  if (!f.reclaimed) unlinked_.push_back(std::move(inode));  // open handles
 }
 
 sim::TaskOf<bool> Filesystem::rename(const std::string& from,

@@ -86,7 +86,8 @@ class Filesystem {
   /// with nothing changed — when a concurrent namespace operation won
   /// the race during those (suspending) reservations.
   sim::TaskOf<bool> rename(const std::string& from, const std::string& to);
-  /// Recycles an unlinked inode's extent and ino (deferred reclamation).
+  /// Recycles an unlinked inode's extent and ino and frees the inode
+  /// (deferred reclamation): `f` is dangling after this call.
   void reclaim(Inode& f);
   /// True while create() can still allocate an inode (the fd-visible
   /// capacity check api::Vfs uses for its ENOSPC path).
@@ -234,9 +235,8 @@ class Filesystem {
   std::unique_ptr<Journal> journal_;
 
   std::unordered_map<std::string, std::unique_ptr<Inode>> files_;
-  /// Unlinked inodes stay alive (open file descriptors may still reference
-  /// them, as with the kernel's inode refcount); their ino/extent are
-  /// recycled immediately.
+  /// Unlinked inodes that open file descriptors still reference (the
+  /// kernel's inode refcount); reclaim() at the last close frees them.
   std::vector<std::unique_ptr<Inode>> unlinked_;
   /// Live files by ino (snapshot_metadata's inode-block lookup).
   std::unordered_map<std::uint32_t, Inode*> by_ino_;

@@ -9,16 +9,19 @@ void Jbd2Journal::start() {
 }
 
 sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
+  if (freed(tid)) co_return;  // retired, checkpointed, durable
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
     if (mode == WaitMode::kDurable) txn.needs_flush = true;
     commit_pending_ = true;
     commit_wake_.notify_all();
   }
+  pin(txn);
   if (mode == WaitMode::kDurable)
-    co_await txn.durable->wait();
+    co_await txn.durable.wait();
   else if (mode == WaitMode::kDispatched)
-    co_await txn.dispatched->wait();
+    co_await txn.dispatched.wait();
+  unpin(txn);
 }
 
 sim::Task Jbd2Journal::jbd_loop() {
@@ -83,7 +86,7 @@ sim::Task Jbd2Journal::jbd_loop() {
       abort_journal(*txn);
       co_return;
     }
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     committing_ = nullptr;
     retire(*txn);
   }

@@ -1,6 +1,7 @@
 #include "fs/journal.h"
 
 #include <algorithm>
+#include <map>
 
 namespace bio::fs {
 
@@ -12,7 +13,7 @@ Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
       layout_(layout),
       ckpt_wake_(sim),
       journal_space_(sim) {
-  running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
+  running_ = new_txn();
 }
 
 void Journal::attach_data(blk::RequestPtr r) {
@@ -37,7 +38,10 @@ sim::Task Journal::dirty_metadata(flash::Lba block, std::uint64_t& txn_out) {
   co_await throttle_running_txn(1);
   while (committing_ != nullptr && committing_->buffers.contains(block)) {
     ++stats_.conflicts;
-    co_await committing_->durable->wait();
+    Txn& holder = *committing_;
+    pin(holder);
+    co_await holder.durable.wait();
+    unpin(holder);
   }
   running_->buffers.insert(block);
   txn_out = running_->id;
@@ -45,13 +49,33 @@ sim::Task Journal::dirty_metadata(flash::Lba block, std::uint64_t& txn_out) {
 
 bool Journal::is_retired(std::uint64_t tid) const {
   const Txn* t = find_txn(tid);
-  return t != nullptr && t->state == Txn::State::kRetired;
+  return t != nullptr ? t->state == Txn::State::kRetired : freed(tid);
 }
 
 const Txn* Journal::find_txn(std::uint64_t tid) const {
-  if (running_ && running_->id == tid) return running_.get();
-  auto it = txns_.find(tid);
-  return it == txns_.end() ? nullptr : it->second.get();
+  if (running_->id == tid) return running_.get();
+  if (tid < closed_base_ || tid - closed_base_ >= closed_.size())
+    return nullptr;
+  return closed_[tid - closed_base_].get();
+}
+
+Journal::Footprint Journal::footprint() const {
+  Footprint f;
+  for (const std::unique_ptr<Txn>& t : closed_) {
+    if (t == nullptr) continue;
+    ++f.retained_txns;
+    if (t->released) ++f.pinned_txns;
+  }
+  f.free_txns = free_txns_.size();
+  f.live_spans = live_spans_.size();
+  f.records = records_.size();
+  f.checkpoint_homes = checkpoints_.size();
+  for (const auto& [home, copies] : checkpoints_)
+    f.checkpoint_copies += copies.size();
+  f.data_checkpoint_homes = data_checkpoints_.size();
+  for (const auto& [home, copies] : data_checkpoints_)
+    f.data_checkpoint_copies += copies.size();
+  return f;
 }
 
 const JournalRecord* Journal::find_record(flash::Version version) const {
@@ -59,25 +83,49 @@ const JournalRecord* Journal::find_record(flash::Version version) const {
   return it == records_.end() ? nullptr : &it->second;
 }
 
-const Journal::CheckpointId* Journal::find_checkpoint(
-    flash::Version version) const {
-  auto it = checkpoint_versions_.find(version);
-  return it == checkpoint_versions_.end() ? nullptr : &it->second;
+const Journal::CheckpointCopy* Journal::find_checkpoint(
+    flash::Lba home, flash::Version version) const {
+  auto it = checkpoints_.find(home);
+  if (it == checkpoints_.end()) return nullptr;
+  for (const CheckpointCopy& c : it->second)
+    if (c.version == version) return &c;
+  return nullptr;
 }
 
-const Journal::DataCheckpointId* Journal::find_data_checkpoint(
-    flash::Version version) const {
-  auto it = data_checkpoint_versions_.find(version);
-  return it == data_checkpoint_versions_.end() ? nullptr : &it->second;
+const MetaSnapshot* Journal::find_snapshot(flash::Lba home,
+                                           std::uint64_t tid) const {
+  if (const Txn* t = find_txn(tid))
+    if (const MetaSnapshot* s = t->find_snapshot(home)) return s;
+  auto it = checkpoints_.find(home);
+  if (it == checkpoints_.end()) return nullptr;
+  for (const CheckpointCopy& c : it->second)
+    if (c.txn_id == tid) return &c.snapshot;
+  return nullptr;
+}
+
+const Journal::DataCheckpointCopy* Journal::find_data_checkpoint(
+    flash::Lba home, flash::Version version) const {
+  auto it = data_checkpoints_.find(home);
+  if (it == data_checkpoints_.end()) return nullptr;
+  for (const DataCheckpointCopy& c : it->second)
+    if (c.version == version) return &c;
+  return nullptr;
 }
 
 Txn& Journal::get_txn(std::uint64_t tid) {
-  if (running_ && running_->id == tid) return *running_;
-  auto it = txns_.find(tid);
-  BIO_CHECK_MSG(it != txns_.end(),
+  Txn* t = const_cast<Txn*>(find_txn(tid));
+  BIO_CHECK_MSG(t != nullptr,
                 "unknown transaction id " + std::to_string(tid) +
                     " (running=" + std::to_string(running_->id) + ")");
-  return *it->second;
+  return *t;
+}
+
+std::unique_ptr<Txn> Journal::new_txn() {
+  if (free_txns_.empty()) return std::make_unique<Txn>(sim_, next_txn_id_++);
+  std::unique_ptr<Txn> t = std::move(free_txns_.back());
+  free_txns_.pop_back();
+  t->id = next_txn_id_++;
+  return t;
 }
 
 Txn* Journal::close_running(bool allow_empty) {
@@ -86,10 +134,49 @@ Txn* Journal::close_running(bool allow_empty) {
   Txn* txn = running_.get();
   txn->state = Txn::State::kCommitting;
   if (close_hook_) close_hook_(*txn);  // freeze metadata-buffer content
-  txns_.emplace(txn->id, std::move(running_));
-  running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
+  BIO_CHECK(txn->id == closed_base_ + closed_.size());
+  closed_.push_back(std::move(running_));
+  running_ = new_txn();
   ++stats_.commits;
   return txn;
+}
+
+void Journal::unpin(Txn& txn) {
+  BIO_CHECK(txn.pins > 0);
+  --txn.pins;
+  free_if_unpinned(txn);
+}
+
+void Journal::release(Txn& txn) {
+  // Recovery scans from sb_tail_txn_, which is past this txn now: its
+  // records are never looked up again.
+  records_.erase(txn.jd_blocks.front().second);
+  records_.erase(txn.jc_block.second);
+  // Its in-place copies are provably durable, so a home's older copies can
+  // never be what a later image holds (copies of one home are serialized
+  // and versioned in retire order).
+  for (const auto& [home, version] : txn.checkpoint_blocks)
+    std::erase_if(checkpoints_.at(home), [v = version](const auto& c) {
+      return c.version < v;
+    });
+  txn.released = true;
+  free_if_unpinned(txn);
+}
+
+void Journal::free_if_unpinned(Txn& txn) {
+  if (!txn.released || txn.pins != 0) return;
+  const std::uint64_t id = txn.id;
+  if (!txn.flushed) {
+    if (freed_unflushed_.size() <= id) freed_unflushed_.resize(id + 1);
+    freed_unflushed_[id] = true;
+  }
+  std::unique_ptr<Txn>& slot = closed_[id - closed_base_];
+  slot->clear();
+  free_txns_.push_back(std::move(slot));
+  while (!closed_.empty() && closed_.front() == nullptr) {
+    closed_.pop_front();
+    ++closed_base_;
+  }
 }
 
 // ---- journal space ---------------------------------------------------------
@@ -99,10 +186,14 @@ bool Journal::checkpoint_durable(const Txn& txn) const {
   if (!txn.journaled_data.empty() && !txn.data_checkpointed) return false;
   if (txn.checkpoint_blocks.empty() && txn.journaled_data.empty())
     return true;  // nothing was copied in place
+  return proven_durable(txn.checkpoint_flush_stamp);
+}
+
+bool Journal::proven_durable(std::uint64_t stamp) const {
   if (blk_.device().profile().plp) return true;
-  // A full flush whose entry sequence postdates the checkpoint completion
-  // snapshotted the cache after those writes transferred.
-  return blk_.device().flush_horizon() > txn.checkpoint_flush_stamp;
+  // A full flush whose entry sequence postdates the stamp snapshotted the
+  // cache after the writes completed before it.
+  return blk_.device().flush_horizon() > stamp;
 }
 
 void Journal::advance_tail() {
@@ -127,6 +218,8 @@ void Journal::advance_tail() {
                        : std::max(sb_tail_txn_, live_spans_.front().txn->id);
     ++stats_.tail_advances;
     advanced = true;
+    // A txn's JD and JC spans are adjacent: its last one just went.
+    if (live_spans_.empty() || live_spans_.front().txn != &txn) release(txn);
   }
   if (advanced) journal_space_.notify_all();
 }
@@ -152,6 +245,7 @@ sim::Task Journal::force_tail_advance() {
         v = std::max(v, page.second);
       }
       txn.data_checkpointed = true;
+      pin(txn);
       copied.push_back(&txn);
     }
   }
@@ -159,7 +253,7 @@ sim::Task Journal::force_tail_advance() {
   data_copies.reserve(to_copy.size());
   for (const auto& [lba, content] : to_copy) {
     const flash::Version v = blk_.next_version();
-    data_checkpoint_versions_.emplace(v, DataCheckpointId{lba, content});
+    data_checkpoints_[lba].push_back(DataCheckpointCopy{v, content});
     const blk::Block payload[1] = {{lba, v}};
     blk::RequestPtr r = blk_.pool().make_write(payload);
     blk_.submit(r);
@@ -179,11 +273,22 @@ sim::Task Journal::force_tail_advance() {
   }
   // The data copies postdate the recorded checkpoint stamp; require a flush
   // entered after *their* completion before the space counts as durable.
-  for (Txn* txn : copied)
-    txn->checkpoint_flush_stamp = std::max(txn->checkpoint_flush_stamp,
-                                           blk_.device().flush_sequence());
+  const std::uint64_t copies_done = blk_.device().flush_sequence();
+  for (Txn* txn : copied) {
+    txn->checkpoint_flush_stamp =
+        std::max(txn->checkpoint_flush_stamp, copies_done);
+    unpin(*txn);
+  }
   ++stats_.checkpoint_flushes;
   co_await blk_.flush_and_wait();
+  if (proven_durable(copies_done)) {
+    // Each home's new copy is durable: its older copies are unreachable.
+    for (const blk::RequestPtr& r : data_copies) {
+      const auto [lba, v] = r->blocks.front();
+      std::erase_if(data_checkpoints_.at(lba),
+                    [v](const DataCheckpointCopy& c) { return c.version < v; });
+    }
+  }
   advance_tail();
   // Re-check is the caller's loop; wake anyone else stalled too.
   journal_space_.notify_all();
@@ -328,6 +433,7 @@ sim::Task Journal::checkpoint_tracker() {
     // The stamp may postdate the actual completion (the tracker drains in
     // retire order) — only ever conservative for the durability proof.
     p.txn->checkpoint_flush_stamp = blk_.device().flush_sequence();
+    unpin(*p.txn);
     journal_space_.notify_all();
   }
 }
@@ -342,7 +448,13 @@ void Journal::checkpoint(Txn& txn) {
   p.reqs.reserve(txn.buffers.size());
   for (flash::Lba block : txn.buffers) {
     const flash::Version v = blk_.next_version();
-    checkpoint_versions_.emplace(v, CheckpointId{block, txn.id});
+    // The copy's record carries the content it writes: the snapshot moves
+    // out of the txn, which may be freed long before the copy is pruned.
+    CheckpointCopy& copy = checkpoints_[block].emplace_back();
+    copy.version = v;
+    copy.txn_id = txn.id;
+    if (MetaSnapshot* snap = txn.find_snapshot(block))
+      copy.snapshot = std::move(*snap);
     txn.checkpoint_blocks.emplace_back(block, v);
     auto it = inflight_ckpt_.find(block);
     auto dit = deferred_ckpt_count_.find(block);
@@ -361,6 +473,7 @@ void Journal::checkpoint(Txn& txn) {
     p.reqs.push_back(std::move(r));
     ++stats_.checkpoint_writes;
   }
+  txn.meta_snapshots.clear();
   if (txn.journaled_data.empty()) txn.data_checkpointed = true;
   if (p.reqs.empty() && p.deferred.empty()) {
     txn.checkpoint_done = true;
@@ -371,15 +484,21 @@ void Journal::checkpoint(Txn& txn) {
     ckpt_tracker_started_ = true;
     sim_.spawn("jnl:ckpt", checkpoint_tracker());
   }
+  pin(txn);  // the tracker holds it across its waits
   ckpt_queue_.push_back(std::move(p));
   ckpt_wake_.notify_all();
 }
 
 void Journal::retire(Txn& txn) {
   txn.state = Txn::State::kRetired;
-  commit_order_.push_back(&txn);
+  // Its JD/JC writes completed: let the pool recycle them now rather than
+  // when the tail passes (a no-flush stack may not free space for long).
+  txn.jd_req.reset();
+  txn.jc_req.reset();
+  stats_.journaled_data_blocks += txn.journaled_data_blocks;
+  if (retire_hook_) retire_hook_(txn);
   checkpoint(txn);
-  txn.durable->trigger();
+  txn.durable.trigger();
   journal_space_.notify_all();
 }
 
@@ -387,19 +506,18 @@ void Journal::abort_journal(Txn& txn) {
   if (aborted_) return;
   aborted_ = true;
   // Wake everyone. The failed txn stays kCommitting forever — it never
-  // enters commit_order_, so neither the live checkers nor recovery ever
-  // treat it as committed.
-  txn.dispatched->trigger();
-  txn.durable->trigger();
-  for (auto& [id, t] : txns_) {
-    (void)id;
-    if (t->state == Txn::State::kCommitting) {
-      t->dispatched->trigger();
-      t->durable->trigger();
+  // retires, so it is never freed and neither the live checkers nor
+  // recovery ever treat it as committed.
+  txn.dispatched.trigger();
+  txn.durable.trigger();
+  for (const std::unique_ptr<Txn>& t : closed_) {
+    if (t != nullptr && t->state == Txn::State::kCommitting) {
+      t->dispatched.trigger();
+      t->durable.trigger();
     }
   }
-  running_->dispatched->trigger();
-  running_->durable->trigger();
+  running_->dispatched.trigger();
+  running_->durable.trigger();
   journal_space_.notify_all();
   ckpt_wake_.notify_all();
   if (abort_hook_) abort_hook_();

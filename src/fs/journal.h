@@ -24,17 +24,26 @@
 // (descriptor tag table / log copy / commit record), keyed by the block's
 // version — the simulation's payload identity. fs::Recovery replays a
 // crashed device image through these records.
+//
+// Bounded journal (DESIGN.md §18): a Txn lives while it runs or commits
+// (or failed under an abort), while it owns a live span, or while a
+// coroutine pins it across a co_await. Its JD/JC requests go at retire;
+// once the tail passes its spans its records go too and, unpinned, it
+// returns to a free list. An id below the running one that no longer
+// resolves is retired and durable. Checkpoint copies carry their
+// MetaSnapshot, and a home's older copies are pruned once a newer one is
+// proven durable.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "blk/block_layer.h"
@@ -86,7 +95,9 @@ struct Txn {
 
   /// Frozen content of each metadata buffer at commit close (the journal's
   /// log-copy payload), captured by the filesystem's close hook. Sorted by
-  /// block (buffers iterate in set order); use find_snapshot().
+  /// block (buffers iterate in set order); use find_snapshot(). checkpoint()
+  /// moves each snapshot into its in-place copy's record, so a retired
+  /// txn's list is empty (Journal::find_snapshot looks in both).
   std::vector<std::pair<flash::Lba, MetaSnapshot>> meta_snapshots;
 
   const MetaSnapshot* find_snapshot(flash::Lba block) const {
@@ -95,6 +106,10 @@ struct Txn {
         [](const auto& e, flash::Lba b) { return e.first < b; });
     return it != meta_snapshots.end() && it->first == block ? &it->second
                                                             : nullptr;
+  }
+  MetaSnapshot* find_snapshot(flash::Lba block) {
+    return const_cast<MetaSnapshot*>(
+        std::as_const(*this).find_snapshot(block));
   }
 
   /// Journal records as written (for crash analysis).
@@ -107,9 +122,9 @@ struct Txn {
   blk::RequestPtr jd_req;
 
   /// JD and JC have been dispatched (fbarrier()'s wake-up point).
-  std::unique_ptr<sim::Event> dispatched;
+  sim::Event dispatched;
   /// Transaction retired; for durability-mode commits this means durable.
-  std::unique_ptr<sim::Event> durable;
+  sim::Event durable;
   /// Somebody requires a flush before retirement (fsync waiter).
   bool needs_flush = false;
   /// A flush was actually issued before retirement.
@@ -126,10 +141,41 @@ struct Txn {
   /// Journaled data has been copied in place (lazy, on space pressure).
   bool data_checkpointed = false;
 
-  explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
-      : id(txn_id),
-        dispatched(std::make_unique<sim::Event>(sim)),
-        durable(std::make_unique<sim::Event>(sim)) {}
+  // ---- retention (DESIGN.md §18) -------------------------------------------
+  /// Coroutines holding this txn across a co_await (Journal::pin/unpin).
+  std::uint32_t pins = 0;
+  /// The journal tail has passed this txn's spans: its records are gone
+  /// and it is freed as soon as it is unpinned.
+  bool released = false;
+
+  Txn(sim::Simulator& sim, std::uint64_t txn_id)
+      : id(txn_id), dispatched(sim), durable(sim) {}
+
+  /// Empties a freed transaction for reuse. Containers are cleared, not
+  /// destroyed, so they keep their capacity; the events re-arm.
+  void clear() {
+    state = State::kRunning;
+    buffers.clear();
+    journaled_data_blocks = 0;
+    journaled_data.clear();
+    data_reqs.clear();
+    covered_data.clear();
+    meta_snapshots.clear();
+    jd_blocks.clear();
+    jc_block = {0, 0};
+    jc_req.reset();
+    jd_req.reset();
+    dispatched.reset();
+    durable.reset();
+    needs_flush = false;
+    flushed = false;
+    checkpoint_blocks.clear();
+    checkpoint_done = false;
+    checkpoint_flush_stamp = 0;
+    data_checkpointed = false;
+    pins = 0;
+    released = false;
+  }
 
   bool empty() const noexcept {
     return buffers.empty() && journaled_data_blocks == 0;
@@ -152,6 +198,25 @@ class Journal {
     std::uint64_t checkpoint_flushes = 0;
     /// Journal-space releases (tail advances past a txn).
     std::uint64_t tail_advances = 0;
+    /// Selectively journaled data pages carried by retired transactions.
+    std::uint64_t journaled_data_blocks = 0;
+  };
+
+  /// What the journal holds right now (DESIGN.md §18): every count is
+  /// bounded by live spans, pins and metadata homes, not by commits.
+  struct Footprint {
+    /// Closed transactions still allocated (the running one excluded).
+    std::size_t retained_txns = 0;
+    /// Retained transactions held only by a pin.
+    std::size_t pinned_txns = 0;
+    /// Freed transactions kept for reuse.
+    std::size_t free_txns = 0;
+    std::size_t live_spans = 0;
+    std::size_t records = 0;
+    std::size_t checkpoint_homes = 0;
+    std::size_t checkpoint_copies = 0;
+    std::size_t data_checkpoint_homes = 0;
+    std::size_t data_checkpoint_copies = 0;
   };
 
   enum class WaitMode : std::uint8_t {
@@ -177,7 +242,9 @@ class Journal {
   /// page conflict, EXT4 flavour). BarrierFS overrides it.
   virtual sim::Task dirty_metadata(flash::Lba block, std::uint64_t& txn_out);
 
-  /// Requests a commit covering txn `tid` and waits per `mode`.
+  /// Requests a commit covering txn `tid` and waits per `mode`. A freed
+  /// `tid` is durable: it returns at once (BarrierFS first issues the flush
+  /// a durability caller of an unflushed txn is owed).
   virtual sim::Task commit(std::uint64_t tid, WaitMode mode) = 0;
 
   /// Attaches an in-flight data request to the running transaction
@@ -217,16 +284,13 @@ class Journal {
   bool running_has_updates() const noexcept { return !running_->empty(); }
   std::uint64_t running_txn_id() const noexcept { return running_->id; }
 
+  /// True once `tid` retired; a freed id (released and unpinned) counts.
   bool is_retired(std::uint64_t tid) const;
 
   const Stats& stats() const noexcept { return stats_; }
+  Footprint footprint() const;
 
-  /// Retired transactions in commit order with their journal records —
-  /// input for the crash-consistency checkers.
-  const std::vector<const Txn*>& commit_order() const noexcept {
-    return commit_order_;
-  }
-
+  /// The running or a retained transaction; nullptr for a freed id.
   const Txn* find_txn(std::uint64_t tid) const;
 
   // ---- recovery surface ----------------------------------------------------
@@ -235,21 +299,30 @@ class Journal {
   /// (fs::Recovery's "read one journal block" primitive).
   const JournalRecord* find_record(flash::Version version) const;
 
-  /// Resolves an in-place metadata write version to (home lba, txn id) —
-  /// the identity of a checkpoint copy found in the durable image.
-  struct CheckpointId {
-    flash::Lba home_lba = 0;
+  /// One in-place metadata copy: the transaction whose content it
+  /// carries and that content, frozen at the transaction's close.
+  struct CheckpointCopy {
+    flash::Version version = 0;
     std::uint64_t txn_id = 0;
+    MetaSnapshot snapshot;
   };
-  const CheckpointId* find_checkpoint(flash::Version version) const;
+  /// The checkpoint copy of `home` written with `version` — the identity
+  /// of a copy found in the durable image — or nullptr.
+  const CheckpointCopy* find_checkpoint(flash::Lba home,
+                                        flash::Version version) const;
 
-  /// Resolves an in-place *data* checkpoint write version to the page-cache
-  /// version whose content it carries (OptFS journaled-data checkpoints).
-  struct DataCheckpointId {
-    flash::Lba home_lba = 0;
+  /// `home`'s content as transaction `tid` froze it: the txn's own snapshot
+  /// until it retires, its checkpoint copy's after.
+  const MetaSnapshot* find_snapshot(flash::Lba home, std::uint64_t tid) const;
+
+  /// One in-place *data* copy (OptFS journaled-data checkpoint): the
+  /// page-cache version whose content it carries.
+  struct DataCheckpointCopy {
+    flash::Version version = 0;
     flash::Version content = 0;
   };
-  const DataCheckpointId* find_data_checkpoint(flash::Version version) const;
+  const DataCheckpointCopy* find_data_checkpoint(flash::Lba home,
+                                                 flash::Version version) const;
 
   /// The on-disk superblock's log-tail pointer: recovery scans from this
   /// transaction id. Updated (with a durability flush) when the journal
@@ -260,6 +333,11 @@ class Journal {
   /// (MetaSnapshots) when a transaction closes.
   using CloseHook = std::function<void(Txn&)>;
   void set_close_hook(CloseHook hook) { close_hook_ = std::move(hook); }
+
+  /// Observer called as each transaction retires (commit order), while its
+  /// records are complete; the txn may be freed any time after it returns.
+  using RetireHook = std::function<void(const Txn&)>;
+  void set_retire_hook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
   // ---- abort (errors=remount-ro, journal half) ----------------------------
 
@@ -303,7 +381,28 @@ class Journal {
   /// write never replays as committed").
   void abort_journal(Txn& txn);
 
+  /// The running or a retained transaction; `tid` must not be freed.
   Txn& get_txn(std::uint64_t tid);
+
+  /// True for an id that retired, was released and has been freed: its
+  /// checkpoint is durable, so it owes nobody a wait.
+  bool freed(std::uint64_t tid) const {
+    return tid != 0 && tid < running_->id && find_txn(tid) == nullptr;
+  }
+  /// A freed id whose txn retired without a flush, which a durability
+  /// commit still issues, as it did while the txn was retained.
+  bool freed_unflushed(std::uint64_t tid) const {
+    return tid < freed_unflushed_.size() && freed_unflushed_[tid];
+  }
+  void mark_flushed(std::uint64_t tid) {
+    if (tid < freed_unflushed_.size()) freed_unflushed_[tid] = false;
+  }
+
+  /// A coroutine that holds a Txn across a co_await pins it (the
+  /// sim::Thread rule): a released txn is freed only at zero pins. There is
+  /// no RAII guard — frames are destroyed after the journal at teardown.
+  static void pin(Txn& txn) noexcept { ++txn.pins; }
+  void unpin(Txn& txn);
 
   sim::Simulator& sim_;
   blk::BlockLayer& blk_;
@@ -314,8 +413,10 @@ class Journal {
   /// The one committing transaction of a JBD2-style journal (null when
   /// idle); read by the default dirty_metadata() conflict rule.
   Txn* committing_ = nullptr;
-  std::map<std::uint64_t, std::unique_ptr<Txn>> txns_;  // committed + retired
-  std::vector<const Txn*> commit_order_;
+  /// Closed transactions by id, from closed_base_ up to the running id;
+  /// a freed slot is null, and leading null slots are popped.
+  std::deque<std::unique_ptr<Txn>> closed_;
+  std::uint64_t closed_base_ = 1;
   std::uint64_t next_txn_id_ = 1;
   flash::Lba journal_head_ = 0;
   Stats stats_;
@@ -325,8 +426,8 @@ class Journal {
 
  private:
   /// One reserved stretch of the journal area (offsets, not LBAs). A txn
-  /// owns up to two: JD and JC (a wrap may separate them). Txn objects are
-  /// owned by txns_ and never freed, so the raw pointer is stable.
+  /// owns up to two: JD and JC (a wrap may separate them). A txn with a
+  /// live span is never freed, so the raw pointer is stable.
   struct JournalSpan {
     Txn* txn = nullptr;
     std::uint32_t start = 0;
@@ -342,10 +443,20 @@ class Journal {
   /// True once `txn`'s in-place copies are provably durable (checkpoint
   /// writes completed + a later full flush, or a PLP device).
   bool checkpoint_durable(const Txn& txn) const;
+  /// True once writes completed before flush entry `stamp` are durable.
+  bool proven_durable(std::uint64_t stamp) const;
 
   /// Releases every leading span whose txn is retired with a durable
   /// checkpoint; advances tail and the superblock pointer.
   void advance_tail();
+
+  /// The tail passed `txn`'s last span: drops its records, prunes the
+  /// checkpoint copies its own made obsolete, and frees it unless pinned.
+  void release(Txn& txn);
+  /// Frees a released, unpinned txn onto the free list.
+  void free_if_unpinned(Txn& txn);
+  /// A cleared txn from the free list (or a new one) under the next id.
+  std::unique_ptr<Txn> new_txn();
 
   /// Tail-advance slow path: copy journaled data in place (lazy OptFS
   /// checkpoint), then flush so the front transactions' checkpoints become
@@ -359,6 +470,10 @@ class Journal {
   sim::Task checkpoint_tracker();
 
   CloseHook close_hook_;
+  RetireHook retire_hook_;
+  std::vector<std::unique_ptr<Txn>> free_txns_;
+  /// One bit per freed id: retired without a flush (see freed_unflushed).
+  std::vector<bool> freed_unflushed_;
   struct PendingCheckpoint {
     Txn* txn = nullptr;
     std::vector<blk::RequestPtr> reqs;
@@ -377,10 +492,13 @@ class Journal {
   /// Capacity-retaining scratch for the 1-block JC reservation.
   std::vector<blk::Block> scratch_jc_;
 
-  // Content model of the journal area + in-place checkpoint copies.
+  // Content model of the journal area + in-place checkpoint copies. A
+  // record lives while its span does; each home keeps its copies in
+  // version order, from its newest provably durable one on.
   std::unordered_map<flash::Version, JournalRecord> records_;
-  std::unordered_map<flash::Version, CheckpointId> checkpoint_versions_;
-  std::unordered_map<flash::Version, DataCheckpointId> data_checkpoint_versions_;
+  std::unordered_map<flash::Lba, std::vector<CheckpointCopy>> checkpoints_;
+  std::unordered_map<flash::Lba, std::vector<DataCheckpointCopy>>
+      data_checkpoints_;
 
   // Circular space accounting.
   std::deque<JournalSpan> live_spans_;

@@ -9,6 +9,7 @@ void OptFsJournal::start() {
 }
 
 sim::Task OptFsJournal::commit(std::uint64_t tid, WaitMode mode) {
+  if (freed(tid)) co_return;  // retired, checkpointed, durable
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
     commit_pending_ = true;
@@ -16,7 +17,9 @@ sim::Task OptFsJournal::commit(std::uint64_t tid, WaitMode mode) {
   }
   // osync() semantics: both wait modes return at transaction *transfer*
   // (durability is always deferred in OptFS).
-  if (mode != WaitMode::kNone) co_await txn.durable->wait();
+  pin(txn);
+  if (mode != WaitMode::kNone) co_await txn.durable.wait();
+  unpin(txn);
 }
 
 sim::Task OptFsJournal::commit_loop() {
@@ -58,7 +61,7 @@ sim::Task OptFsJournal::commit_loop() {
       co_return;
     }
 
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     txn->flushed = false;  // never durable at osync return
     committing_ = nullptr;
     retire(*txn);

@@ -23,6 +23,8 @@ RecoveryReport Recovery::recover(
   // For every journal block that survived, look up what its surviving
   // version contained. Records overwritten by a later lap resolve to the
   // newer transaction's record, exactly as a real scan would read them.
+  // Records of transactions before the superblock tail were dropped with
+  // their spans; the scan below never starts before it anyway.
   std::set<std::uint64_t> descriptors;
   std::set<std::uint64_t> commits;
   const flash::Lba jbase = layout_.journal_base();
@@ -120,20 +122,20 @@ RecoveryReport Recovery::recover(
   // ---- 3. resolve metadata block content ---------------------------------
   // A metadata block's recovered content is the newest of (a) the in-place
   // checkpoint copy the image holds and (b) the journal replay — each a
-  // MetaSnapshot frozen at its transaction's close.
+  // MetaSnapshot frozen at its transaction's close. The copy's record
+  // carries its snapshot: its transaction may be long freed.
   const flash::Lba ibase = layout_.inode_base();
   auto meta_content = [&](flash::Lba block) -> const MetaSnapshot* {
     if (destroyed.contains(block)) return nullptr;
-    std::uint64_t newest = 0;
-    if (const auto v = durable_version(block)) {
-      const Journal::CheckpointId* ck = journal_.find_checkpoint(*v);
-      if (ck != nullptr && ck->home_lba == block) newest = ck->txn_id;
-    }
+    const Journal::CheckpointCopy* ck = nullptr;
+    if (const auto v = durable_version(block))
+      ck = journal_.find_checkpoint(block, *v);
     auto rit = meta_replayed.find(block);
-    if (rit != meta_replayed.end()) newest = std::max(newest, rit->second);
-    if (newest == 0) return nullptr;  // block never committed
-    const Txn* txn = journal_.find_txn(newest);
-    return txn == nullptr ? nullptr : txn->find_snapshot(block);
+    const std::uint64_t replayed =
+        rit == meta_replayed.end() ? 0 : rit->second;
+    if (ck != nullptr && ck->txn_id >= replayed) return &ck->snapshot;
+    if (replayed == 0) return nullptr;  // block never committed
+    return journal_.find_snapshot(block, replayed);
   };
 
   // ---- 4. reconstruct the namespace --------------------------------------
@@ -157,7 +159,8 @@ RecoveryReport Recovery::recover(
   // version they carried), then the replayed journal copies on top.
   for (const auto& [lba, v] : image) {
     if (lba < layout_.data_base()) continue;
-    const Journal::DataCheckpointId* ck = journal_.find_data_checkpoint(v);
+    const Journal::DataCheckpointCopy* ck =
+        journal_.find_data_checkpoint(lba, v);
     report.data[lba] = ck != nullptr ? ck->content : v;
   }
   for (const auto& [lba, v] : data_replayed)

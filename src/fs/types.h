@@ -155,6 +155,9 @@ struct Inode {
   /// (retries exhausted or hard media error). Each fd records the sequence
   /// it has seen; fsync reports EIO exactly once per fd per new failure.
   std::uint64_t wb_err_seq = 0;
+  /// Filesystem::reclaim() recycled the ino and extent (nameless inodes
+  /// only; the object is freed with it or, mid-unlink, right after).
+  bool reclaimed = false;
 
   flash::Lba lba_of_page(std::uint32_t page) const noexcept {
     return extent_base + page;

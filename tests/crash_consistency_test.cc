@@ -243,6 +243,7 @@ class JournalCrashTest
 TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
   const auto [kind, seed] = GetParam();
   fs::testutil::StackFixture x(kind);
+  const fs::testutil::RetiredTxns retired(x.fs().journal());
   sim::Rng rng(static_cast<std::uint64_t>(seed));
 
   auto body = [&]() -> Task {
@@ -272,14 +273,14 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
     return it != durable.end() && it->second >= blockv.second;
   };
   bool seen_missing = false;
-  for (const fs::Txn* txn : x.fs().journal().commit_order()) {
-    const bool jc_durable = has(txn->jc_block);
+  for (const fs::testutil::RetiredTxn& txn : retired.txns) {
+    const bool jc_durable = has(txn.jc_block);
     if (jc_durable) {
       EXPECT_FALSE(seen_missing)
-          << "txn " << txn->id << " durable after a lost predecessor — "
+          << "txn " << txn.id << " durable after a lost predecessor — "
              "commit order violated";
-      for (const auto& jd : txn->jd_blocks)
-        EXPECT_TRUE(has(jd)) << "txn " << txn->id
+      for (const auto& jd : txn.jd_blocks)
+        EXPECT_TRUE(has(jd)) << "txn " << txn.id
                              << ": commit record durable but a descriptor/"
                                 "log block is missing (atomicity broken)";
     } else {

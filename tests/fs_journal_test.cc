@@ -11,11 +11,14 @@ namespace {
 using namespace bio::sim::literals;
 using core::StackKind;
 using sim::Task;
+using testutil::RetiredTxn;
+using testutil::RetiredTxns;
 using testutil::StackFixture;
 using testutil::test_stack_config;
 
 TEST(Jbd2Test, CommitWritesJdAndJc) {
   StackFixture x(StackKind::kExt4DR);
+  const RetiredTxns retired(x.fs().journal());
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -26,8 +29,8 @@ TEST(Jbd2Test, CommitWritesJdAndJc) {
   x.sim().run();
   const Journal& j = x.fs().journal();
   EXPECT_EQ(j.stats().commits, 1u);
-  ASSERT_EQ(j.commit_order().size(), 1u);
-  const Txn* txn = j.commit_order()[0];
+  ASSERT_EQ(retired.txns.size(), 1u);
+  const RetiredTxn* txn = &retired.txns[0];
   // Buffers: root dir block + inode block.
   EXPECT_EQ(txn->buffers.size(), 2u);
   EXPECT_EQ(txn->jd_blocks.size(), 3u) << "descriptor + 2 log blocks";
@@ -37,6 +40,7 @@ TEST(Jbd2Test, CommitWritesJdAndJc) {
 
 TEST(Jbd2Test, JournalRecordsLandInJournalRegion) {
   StackFixture x(StackKind::kExt4DR);
+  const RetiredTxns retired(x.fs().journal());
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -45,7 +49,8 @@ TEST(Jbd2Test, JournalRecordsLandInJournalRegion) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const Txn* txn = x.fs().journal().commit_order()[0];
+  ASSERT_FALSE(retired.txns.empty());
+  const RetiredTxn* txn = &retired.txns[0];
   const Layout& lo = x.fs().layout();
   for (const auto& [lba, ver] : txn->jd_blocks) {
     EXPECT_GE(lba, lo.journal_base());
@@ -75,14 +80,14 @@ TEST(Jbd2Test, GroupCommitBatchesConcurrentFsyncs) {
 
 TEST(Jbd2Test, NobarrierCommitIsNotDurable) {
   StackFixture x(StackKind::kExt4OD);
+  const RetiredTxns retired(x.fs().journal());
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
     co_await x.fs().fsync(*f);
     // Commit retired at transfer; JC may still be in the writeback cache.
-    const Txn* txn = x.fs().journal().commit_order()[0];
-    EXPECT_FALSE(txn->flushed);
+    EXPECT_FALSE(retired.txns.at(0).flushed);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -294,6 +299,7 @@ TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
 
 TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
   StackFixture x(StackKind::kBfsDR);
+  const RetiredTxns retired(x.fs().journal());
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -306,10 +312,10 @@ TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const auto& order = x.fs().journal().commit_order();
+  const auto& order = retired.txns;
   ASSERT_GE(order.size(), 2u);
   // The conflicted buffer must appear in the later transaction too.
-  EXPECT_FALSE(order.back()->buffers.empty());
+  EXPECT_FALSE(order.back().buffers.empty());
 }
 
 TEST(OptFsTest, OsyncCommitsWithoutFlush) {
@@ -328,6 +334,7 @@ TEST(OptFsTest, OsyncCommitsWithoutFlush) {
 
 TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
   StackFixture x(StackKind::kOptFs);
+  const RetiredTxns retired(x.fs().journal());
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -338,10 +345,10 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const auto& order = x.fs().journal().commit_order();
+  const auto& order = retired.txns;
   ASSERT_GE(order.size(), 2u);
-  EXPECT_EQ(order[0]->journaled_data_blocks, 0u);
-  EXPECT_EQ(order.back()->journaled_data_blocks, 4u)
+  EXPECT_EQ(order[0].journaled_data_blocks, 0u);
+  EXPECT_EQ(order.back().journaled_data_blocks, 4u)
       << "4 overwritten pages journaled selectively";
 }
 

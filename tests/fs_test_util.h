@@ -3,12 +3,40 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stack.h"
 #include "flash_test_util.h"
+#include "fs/journal.h"
 
 namespace bio::fs::testutil {
+
+/// What a test reads of one retired transaction.
+struct RetiredTxn {
+  std::uint64_t id = 0;
+  std::vector<flash::Lba> buffers;
+  std::uint32_t journaled_data_blocks = 0;
+  std::vector<std::pair<flash::Lba, flash::Version>> jd_blocks;
+  std::pair<flash::Lba, flash::Version> jc_block{0, 0};
+  bool flushed = false;
+};
+
+/// The journal's commit order, copied through its retire hook as each
+/// transaction retires (the journal frees a txn once its tail passes it).
+struct RetiredTxns {
+  std::vector<RetiredTxn> txns;
+
+  explicit RetiredTxns(Journal& journal) {
+    journal.set_retire_hook([this](const Txn& t) {
+      txns.push_back(RetiredTxn{
+          t.id, std::vector<flash::Lba>(t.buffers.begin(), t.buffers.end()),
+          t.journaled_data_blocks, t.jd_blocks, t.jc_block, t.flushed});
+    });
+  }
+  RetiredTxns(const RetiredTxns&) = delete;
+  RetiredTxns& operator=(const RetiredTxns&) = delete;
+};
 
 /// StackConfig for `kind` on the tiny test device (larger than the device
 /// tests' profile so filesystem workloads fit comfortably).

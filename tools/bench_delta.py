@@ -41,6 +41,12 @@ Usage:
   tools/bench_delta.py <baseline.json> <fresh.json> [<fresh2.json> ...]
                        [--threshold 1.25] [--warn-only]
 
+Pass at least three fresh runs, locally as in CI. A full-mode sync-*
+scenario runs for ~20 ms of wall time, and one run's ns/io can sit 1.2x
+above its minimum on an idle machine: a single fresh file has reported a
+regression on a tree whose simulation was bit-identical to the baseline's.
+With one fresh file the tool prints a note saying so.
+
 Exit codes: 0 ok / warn-only, 1 regression found, 2 usage or schema error.
 """
 
@@ -99,7 +105,9 @@ def load_scenarios(path):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
-    ap.add_argument("fresh", nargs="+")
+    ap.add_argument("fresh", nargs="+",
+                    help="fresh perf_suite --out files; pass >= 3 (the "
+                         "guard takes per-scenario minima across them)")
     ap.add_argument("--threshold", type=float, default=1.25,
                     help="normalized ns/io ratio above which a scenario "
                          "counts as regressed (default 1.25 = +25%%)")
@@ -109,6 +117,10 @@ def main():
 
     base = load_scenarios(args.baseline)
     runs = [load_scenarios(p) for p in args.fresh]
+    if len(runs) == 1:
+        print("bench_delta: note: one fresh run. Its ns/io carries the full "
+              "run-to-run noise, which can exceed the gate on its own; pass "
+              ">= 3 fresh runs, as CI does.")
     # Per-scenario minimum ns/io across the fresh runs.
     fresh = {}
     for run in runs:
