@@ -426,14 +426,16 @@ sim::Task StorageDevice::transactional_loop() {
 
 // ---- analysis --------------------------------------------------------------
 
-std::unordered_map<Lba, Version> StorageDevice::durable_state() const {
+BlockImage StorageDevice::durable_state() const {
   if (profile_.plp) {
     // The cache survives power loss: programmed pages overlaid with every
     // still-cached entry, in transfer order.
-    auto state = log_.durable_programmed_set();
-    for (const auto& e : cache_.undrained_entries())
-      state[e.lba] = e.version;
-    return state;
+    const auto cached = cache_.undrained_entries();
+    std::vector<BlockImage::Entry> writes;
+    writes.reserve(cached.size());
+    for (const auto& e : cached) writes.emplace_back(e.lba, e.version);
+    return BlockImage::overlay(log_.durable_programmed_set(),
+                               std::move(writes));
   }
   switch (profile_.barrier_mode) {
     case BarrierMode::kInOrderRecovery:

@@ -16,8 +16,9 @@
 // Data lands in the writeback cache in transfer order; barrier writes bump
 // the device epoch. The drain policy selected by BarrierMode moves entries
 // to the SegmentLog; durable_state() answers "what survives a power cut
-// right now", which the crash-consistency tests check against the paper's
-// epoch ordering guarantees.
+// right now" as a flat, LBA-sorted BlockImage (block_image.h), which the
+// crash-consistency tests check against the paper's epoch ordering
+// guarantees and fs::Recovery mounts.
 //
 // The device exposes one submission *port* per flash channel (blk-mq
 // hardware queues). Each port has its own NCQ window and host-side DMA bus,
@@ -43,10 +44,10 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "flash/block_image.h"
 #include "flash/cache.h"
 #include "flash/command.h"
 #include "flash/fault.h"
@@ -135,8 +136,9 @@ class StorageDevice {
   sim::Notify& queue_activity() noexcept { return queue_event_; }
 
   /// Non-destructive crash analysis: the state recovery would reconstruct
-  /// if power failed at the current simulated instant.
-  std::unordered_map<Lba, Version> durable_state() const;
+  /// if power failed at the current simulated instant. Built per call: one
+  /// walk of the FTL's folded durable table, 16 bytes per durable LBA.
+  BlockImage durable_state() const;
 
   /// A captured durable image: the block-level state a power cut at
   /// `captured_at` would leave behind. Versions are the payload identity —
@@ -144,7 +146,7 @@ class StorageDevice {
   /// content, and higher layers (fs::Recovery) interpret it through their
   /// own content records.
   struct DurableImage {
-    std::unordered_map<Lba, Version> blocks;
+    BlockImage blocks;
     sim::SimTime captured_at = 0;
     std::uint64_t epoch = 0;
   };

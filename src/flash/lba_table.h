@@ -37,6 +37,10 @@ class LbaTable {
   T* find(Lba lba) noexcept {
     return const_cast<T*>(std::as_const(*this).find(lba));
   }
+  bool contains(Lba lba) const noexcept { return find(lba) != nullptr; }
+
+  /// Entries present.
+  std::size_t size() const noexcept { return size_; }
 
   /// The entry at `lba`, value-initialized first if absent.
   T& operator[](Lba lba) {
@@ -49,6 +53,7 @@ class LbaTable {
     if (!c.present[i]) {
       c.present[i] = true;
       c.values[i] = T{};
+      ++size_;
     }
     return c.values[i];
   }
@@ -56,7 +61,10 @@ class LbaTable {
   /// Removes the entry at `lba`, if any. The chunk stays allocated.
   void erase(Lba lba) noexcept {
     Chunk* c = chunk_of(lba);
-    if (c != nullptr) c->present[lba & (kChunkSize - 1)] = false;
+    const std::size_t i = lba & (kChunkSize - 1);
+    if (c == nullptr || !c->present[i]) return;
+    c->present[i] = false;
+    --size_;
   }
 
   /// Calls fn(lba, value) for every present entry, in ascending LBA order.
@@ -92,6 +100,7 @@ class LbaTable {
 
   /// Indexed by lba >> kChunkBits; null until the chunk's first insert.
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace bio::flash

@@ -61,27 +61,26 @@ void AppendHistory::maybe_fold() {
   base_ = limit;
 }
 
-std::unordered_map<Lba, Version> AppendHistory::durable_through(
-    std::uint64_t end, bool programmed_only) const {
-  std::unordered_map<Lba, Version> state;
-  folded_.for_each([&](Lba lba, Version v) { state.emplace(lba, v); });
+BlockImage AppendHistory::durable_through(std::uint64_t end,
+                                          bool programmed_only) const {
+  std::vector<BlockImage::Entry> writes;
+  writes.reserve(end - base_);
   for (std::uint64_t i = base_; i < end; ++i) {
     const Record& r = tail_[i - base_];
-    if (!programmed_only || r.programmed) state[r.lba] = r.version;
+    if (!programmed_only || r.programmed) writes.emplace_back(r.lba, r.version);
   }
-  return state;
+  return BlockImage::overlay(folded_, std::move(writes));
 }
 
-std::unordered_map<Lba, Version> AppendHistory::durable_in_order_recovery()
-    const {
+BlockImage AppendHistory::durable_in_order_recovery() const {
   return durable_through(prefix_, false);
 }
 
-std::unordered_map<Lba, Version> AppendHistory::durable_programmed_set() const {
+BlockImage AppendHistory::durable_programmed_set() const {
   return durable_through(size(), true);
 }
 
-std::unordered_map<Lba, Version> AppendHistory::durable_committed() const {
+BlockImage AppendHistory::durable_committed() const {
   BIO_CHECK_MSG(transactional_, "durable_committed on a non-transactional log");
   return durable_through(commit_point_, false);
 }
@@ -135,17 +134,32 @@ SegmentLog::SlotId SegmentLog::take_slot(Lba lba, const Mapping& m) {
       static_cast<SlotId>(active_segment_) * geom_.pages_per_segment() +
       offset;
   if (m.slot != kUnmapped) {
+    // A mapping always points at a valid slot.
     Segment& old_seg = segments_[m.slot / geom_.pages_per_segment()];
-    PhysSlot& old_slot = old_seg.slots[m.slot % geom_.pages_per_segment()];
-    if (old_slot.valid) {
-      old_slot.valid = false;
-      BIO_CHECK(old_seg.valid_count > 0);
-      --old_seg.valid_count;
-    }
+    BIO_CHECK(old_seg.valid_count > 0);
+    --old_seg.valid_count;
   }
-  seg->slots[offset] = PhysSlot{lba, true};
+  // The mapping table already rejected LBAs at or above 2^32.
+  seg->slots[offset] = static_cast<std::uint32_t>(lba);
   ++seg->valid_count;
   return slot;
+}
+
+bool SegmentLog::slot_valid(SlotId slot) const {
+  const Lba lba = segments_[slot / geom_.pages_per_segment()]
+                      .slots[slot % geom_.pages_per_segment()];
+  const Mapping* m = mapping_.find(lba);
+  return m != nullptr && m->slot == slot;
+}
+
+bool SegmentLog::check_valid_counts() const {
+  std::vector<std::uint32_t> pointing(segments_.size(), 0);
+  mapping_.for_each([&](Lba, const Mapping& m) {
+    if (m.slot != kUnmapped) ++pointing[m.slot / geom_.pages_per_segment()];
+  });
+  for (std::size_t s = 0; s < segments_.size(); ++s)
+    if (pointing[s] != segments_[s].valid_count) return false;
+  return true;
 }
 
 SegmentLog::Reservation SegmentLog::allocate_slot(Lba lba, Version version,
@@ -236,7 +250,7 @@ sim::Task SegmentLog::gc_loop() {
     const std::uint64_t base =
         static_cast<std::uint64_t>(victim) * geom_.pages_per_segment();
     for (std::uint32_t off = 0; off < geom_.pages_per_segment(); ++off) {
-      if (!segments_[victim].slots[off].valid) continue;
+      if (!slot_valid(base + off)) continue;
       // iolint: detached-owner(the join loop below waits every worker
       // before the semaphore and segment state go away)
       workers.push_back(sim_.spawn("gc", relocate_slot(base + off, inflight)));
@@ -259,10 +273,11 @@ sim::Task SegmentLog::gc_loop() {
     erasing_ = false;
     erase_done_.notify_all();
 
+    // No mapping points into the victim any more, so its stale slot LBAs
+    // read as invalid until appends overwrite them.
     Segment& seg = segments_[victim];
     seg.next_offset = 0;
     seg.valid_count = 0;
-    for (auto& slot : seg.slots) slot = PhysSlot{};
     free_segments_.push_back(victim);
     ++gc_.segments_erased;
     space_freed_.notify_all();
@@ -272,10 +287,8 @@ sim::Task SegmentLog::gc_loop() {
 sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
                                     sim::Semaphore& inflight) {
   co_await inflight.acquire();
-  const Lba lba =
-      segments_[victim_slot / geom_.pages_per_segment()]
-          .slots[victim_slot % geom_.pages_per_segment()]
-          .lba;
+  const Lba lba = segments_[victim_slot / geom_.pages_per_segment()]
+                      .slots[victim_slot % geom_.pages_per_segment()];
   Mapping* m = mapping_.find(lba);
   if (m == nullptr || m->slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.

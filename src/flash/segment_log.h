@@ -14,17 +14,24 @@
 // (lba_table.h): chunked, directly indexed, allocated per 1024-LBA chunk on
 // first append, so the per-IO lookups in reserve/read/GC allocate nothing.
 //
+// A physical page costs 4 bytes: each segment keeps only the LBA written
+// into each slot, and a slot is valid exactly when that LBA's mapping points
+// at it, so the mapping is the one record of validity and a segment's
+// valid_count is kept in step with it (check_valid_counts()).
+//
 // What a crash keeps is answered by an AppendHistory: the records below the
-// programmed prefix are folded into a durable LBA -> version map, so the
-// log's memory tracks the programs in flight, not the run length.
+// programmed prefix are folded into a durable LBA -> version table, so the
+// log's memory tracks the programs in flight, not the run length. A durable
+// view is a flat BlockImage built by one ascending walk of that table with
+// the tail records merged over it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "flash/block_image.h"
 #include "flash/geometry.h"
 #include "flash/lba_table.h"
 #include "flash/nand.h"
@@ -88,11 +95,11 @@ class AppendHistory {
   std::size_t retained() const noexcept { return tail_.size(); }
 
   /// Records [0, programmed_prefix()), applied in log order.
-  std::unordered_map<Lba, Version> durable_in_order_recovery() const;
+  BlockImage durable_in_order_recovery() const;
   /// Every programmed record, applied in log order.
-  std::unordered_map<Lba, Version> durable_programmed_set() const;
+  BlockImage durable_programmed_set() const;
   /// Records up to the last commit point (transactional history only).
-  std::unordered_map<Lba, Version> durable_committed() const;
+  BlockImage durable_committed() const;
 
  private:
   struct Record {
@@ -106,8 +113,7 @@ class AppendHistory {
   void maybe_fold();
   /// The folded map plus the tail records below `end` (only the programmed
   /// ones if `programmed_only`).
-  std::unordered_map<Lba, Version> durable_through(std::uint64_t end,
-                                                   bool programmed_only) const;
+  BlockImage durable_through(std::uint64_t end, bool programmed_only) const;
 
   bool transactional_;
   LbaTable<Version> folded_;  // records [0, base_), applied in log order
@@ -172,19 +178,19 @@ class SegmentLog {
 
   /// Durable state under in-order recovery: longest programmed prefix of
   /// the append log, applied in log order.
-  std::unordered_map<Lba, Version> durable_in_order_recovery() const {
+  BlockImage durable_in_order_recovery() const {
     return history_.durable_in_order_recovery();
   }
 
   /// Durable state when every individually-programmed page survives
   /// (no-barrier or in-order-writeback devices), applied in log order.
-  std::unordered_map<Lba, Version> durable_programmed_set() const {
+  BlockImage durable_programmed_set() const {
     return history_.durable_programmed_set();
   }
 
   /// Durable state under transactional write-back: entries up to the last
   /// commit point only (kTransactional logs only).
-  std::unordered_map<Lba, Version> durable_committed() const {
+  BlockImage durable_committed() const {
     return history_.durable_committed();
   }
 
@@ -216,13 +222,16 @@ class SegmentLog {
   /// The version currently mapped at `lba` on flash, if any (test helper).
   std::optional<Version> mapped_version(Lba lba) const;
 
+  /// Test hook: recounts, per segment, the mapping entries that point into
+  /// it and compares that with the segment's valid_count. True when they
+  /// agree for every segment. O(mapped LBAs + segments).
+  bool check_valid_counts() const;
+
  private:
-  struct PhysSlot {
-    Lba lba = 0;
-    bool valid = false;
-  };
   struct Segment {
-    std::vector<PhysSlot> slots;
+    /// The LBA programmed into each slot (LbaTable bounds LBAs below 2^32).
+    /// Stale after an overwrite or erase: validity is the mapping's word.
+    std::vector<std::uint32_t> slots;
     std::uint32_t next_offset = 0;  // append cursor within the segment
     std::uint32_t valid_count = 0;
     bool full() const noexcept {
@@ -248,8 +257,12 @@ class SegmentLog {
   };
 
   /// Takes the next physical slot for `lba`, whose mapping entry is `m`,
-  /// and invalidates the slot `m` pointed at. The caller remaps `m`.
+  /// and counts the slot `m` pointed at out of its segment's valid pages.
+  /// The caller remaps `m`, which is what invalidates the old slot.
   SlotId take_slot(Lba lba, const Mapping& m);
+
+  /// True if `slot` holds its LBA's current content.
+  bool slot_valid(SlotId slot) const;
 
   /// take_slot() plus a history record; remaps `m` to the new slot.
   /// Synchronous (no suspension between the capacity check and the

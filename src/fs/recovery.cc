@@ -4,11 +4,13 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace bio::fs {
 
-RecoveryReport Recovery::recover(
-    const std::unordered_map<flash::Lba, flash::Version>& image) const {
+RecoveryReport Recovery::recover(const flash::BlockImage& image) const {
   RecoveryReport report;
   report.scan_start_txn = journal_.sb_tail_txn();
 
@@ -48,7 +50,7 @@ RecoveryReport Recovery::recover(
   // Per-home replay decisions accumulate here; `meta_replayed` maps a
   // metadata home block to the newest transaction that validly replays it.
   std::unordered_map<flash::Lba, std::uint64_t> meta_replayed;
-  std::unordered_map<flash::Lba, flash::Version> data_replayed;
+  std::map<flash::Lba, flash::Version> data_replayed;  // sorted for step 5
   std::set<flash::Lba> destroyed;  // homes clobbered by stale-log replay
 
   // Enumerates the descriptor's tag table: jd_blocks[0] is the descriptor
@@ -155,18 +157,34 @@ RecoveryReport Recovery::recover(
             [](const auto& a, const auto& b) { return a.ino < b.ino; });
 
   // ---- 5. recover data content -------------------------------------------
-  // In-place state first (checkpointed data copies resolve to the page
-  // version they carried), then the replayed journal copies on top.
-  for (const auto& [lba, v] : image) {
-    if (lba < layout_.data_base()) continue;
+  // In-place state (checkpointed data copies resolve to the page version
+  // they carried), the replayed journal copies over it (the newer content
+  // wins), destroyed data homes dropped. The image and data_replayed are
+  // both sorted by LBA, so one merge builds the flat result.
+  const auto in_place = std::partition_point(
+      image.begin(), image.end(),
+      [&](const auto& e) { return e.first < layout_.data_base(); });
+  std::vector<flash::BlockImage::Entry> data;
+  data.reserve(static_cast<std::size_t>(image.end() - in_place) +
+               data_replayed.size());
+  auto emit = [&](flash::Lba lba, flash::Version v) {
+    if (lba < layout_.data_base() || !destroyed.contains(lba))
+      data.emplace_back(lba, v);
+  };
+  auto rep = data_replayed.cbegin();
+  for (auto it = in_place; it != image.end(); ++it) {
+    const auto [lba, v] = *it;
+    for (; rep != data_replayed.cend() && rep->first < lba; ++rep)
+      emit(rep->first, rep->second);
     const Journal::DataCheckpointCopy* ck =
         journal_.find_data_checkpoint(lba, v);
-    report.data[lba] = ck != nullptr ? ck->content : v;
+    flash::Version content = ck != nullptr ? ck->content : v;
+    if (rep != data_replayed.cend() && rep->first == lba)
+      content = std::max(content, (rep++)->second);
+    emit(lba, content);
   }
-  for (const auto& [lba, v] : data_replayed)
-    report.data[lba] = std::max(report.data[lba], v);
-  for (flash::Lba lba : destroyed)
-    if (lba >= layout_.data_base()) report.data.erase(lba);
+  for (; rep != data_replayed.cend(); ++rep) emit(rep->first, rep->second);
+  report.data = flash::BlockImage(std::move(data));
 
   return report;
 }

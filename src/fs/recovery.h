@@ -1,7 +1,8 @@
 // Crash recovery: rebuilding filesystem state from a durable device image.
 //
 // The simulator's device answers "what survives a power cut right now" as a
-// block-level image (lba -> version, the payload identity). This module is
+// block-level image (flash::BlockImage: lba -> version, the payload
+// identity, flat and sorted by LBA). This module is
 // the *mount-time* half of crash consistency: it scans the journal area of
 // that image, validates transactions according to the journal flavour's
 // commit protocol, truncates the incomplete tail, replays the surviving
@@ -28,9 +29,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "flash/block_image.h"
 #include "fs/journal.h"
 #include "fs/types.h"
 
@@ -52,8 +53,9 @@ struct RecoveryReport {
 
   /// Recovered data-block content: lba -> content version, combining the
   /// image's in-place state (checkpoint copies resolved to their payload)
-  /// with replayed journaled data.
-  std::unordered_map<flash::Lba, flash::Version> data;
+  /// with replayed journaled data. Built flat, in one merge of the image's
+  /// data range with the replayed homes.
+  flash::BlockImage data;
 
   std::uint64_t scan_start_txn = 0;
   std::uint64_t last_replayed_txn = 0;
@@ -86,8 +88,7 @@ class Recovery {
 
   /// Runs the full scan/validate/truncate/replay pipeline over `image`
   /// (a StorageDevice::durable_state() / capture_durable_image() result).
-  RecoveryReport recover(
-      const std::unordered_map<flash::Lba, flash::Version>& image) const;
+  RecoveryReport recover(const flash::BlockImage& image) const;
 
  private:
   bool checksummed() const noexcept {

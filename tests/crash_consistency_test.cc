@@ -36,7 +36,7 @@ using sim::Task;
 /// one for that lba), every entry of every epoch < e must have persisted.
 testing::AssertionResult epoch_prefix_holds(
     const std::vector<flash::WritebackCache::Entry>& history,
-    const std::unordered_map<Lba, Version>& durable) {
+    const flash::BlockImage& durable) {
   auto present = [&](const flash::WritebackCache::Entry& e) {
     auto it = durable.find(e.lba);
     return it != durable.end() && it->second >= e.version;

@@ -68,7 +68,7 @@ TEST(DeviceTest, FlushMakesPrecedingWritesDurable) {
     auto w = make_write(sim, {{1, 1}});
     EXPECT_TRUE(dev.try_submit(w.cmd));
     co_await w.done->wait();
-    EXPECT_EQ(dev.durable_state().count(1), 0u) << "not yet programmed";
+    EXPECT_FALSE(dev.durable_state().contains(1)) << "not yet programmed";
     auto f = make_flush(sim);
     EXPECT_TRUE(dev.try_submit(f.cmd));
     co_await f.done->wait();
@@ -116,6 +116,36 @@ TEST(DeviceTest, PlpWriteIsDurableOnArrival) {
   };
   sim.spawn("t", body());
   sim.run();
+}
+
+// Two copies of one LBA still in the supercap cache, over a programmed
+// older one: the image applies the cache in transfer order, so the newest
+// copy is what survives.
+TEST(DeviceTest, PlpKeepsTheNewerOfTwoUndrainedCopies) {
+  Simulator sim;
+  StorageDevice dev(sim, test_profile(BarrierMode::kNone, /*plp=*/true));
+  dev.start();
+  std::size_t undrained = 0;
+  auto body = [&]() -> Task {
+    auto w1 = make_write(sim, {{7, 1}});
+    EXPECT_TRUE(dev.try_submit(w1.cmd));
+    co_await w1.done->wait();
+    co_await sim.delay(1_ms);  // drained and programmed
+    auto w2 = make_write(sim, {{7, 2}});
+    auto w3 = make_write(sim, {{9, 5}, {7, 3}});
+    EXPECT_TRUE(dev.try_submit(w2.cmd));
+    EXPECT_TRUE(dev.try_submit(w3.cmd));
+    co_await w2.done->wait();
+    co_await w3.done->wait();
+    undrained = dev.cache().undrained_entries().size();
+    const BlockImage durable = dev.durable_state();
+    EXPECT_EQ(durable.at(7), 3u);
+    EXPECT_EQ(durable.at(9), 5u);
+    EXPECT_EQ(durable.size(), 2u);
+  };
+  sim.spawn("t", body());
+  sim.run();
+  EXPECT_EQ(undrained, 3u) << "all three new copies were still cached";
 }
 
 TEST(DeviceTest, FuaWritePersistsBeforeCompletion) {

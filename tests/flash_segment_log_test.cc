@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -158,6 +159,44 @@ TEST(SegmentLogTest, GcPreservesLastWriteWinsInDurableState) {
   }
 }
 
+// A slot is valid exactly when its LBA's mapping points at it, so each
+// segment's valid_count must equal the mapping entries pointing into it
+// at every instant: through random overwrites with programs in flight, GC
+// relocating out of many victims, and erased segments reused.
+TEST(SegmentLogTest, ValidCountsMatchTheMappingThroughGc) {
+  Fixture f;
+  constexpr Lba kLbas = 40;
+  sim::Rng rng(11);
+  f.log.prefill(0.3, kLbas, rng);
+  ASSERT_TRUE(f.log.check_valid_counts());
+  bool agreed = true;
+  auto body = [&]() -> Task {
+    sim::Semaphore inflight(f.sim, 4);
+    auto program = [&](SegmentLog::Reservation r) -> Task {
+      co_await f.log.program_reserved(r);
+      agreed = agreed && f.log.check_valid_counts();
+      inflight.release();
+    };
+    for (int i = 0; i < 3'000; ++i) {
+      co_await inflight.acquire();
+      SegmentLog::Reservation r;
+      co_await f.log.reserve(rng.uniform(0, kLbas - 1),
+                             static_cast<Version>(i + 1), r);
+      agreed = agreed && f.log.check_valid_counts();
+      // iolint: detached-owner(every program releases the semaphore, and
+      // the loop below waits for all of them before its frame returns)
+      f.sim.spawn("p", program(r));
+    }
+    for (int i = 0; i < 4; ++i) co_await inflight.acquire();
+  };
+  f.sim.spawn("w", body());
+  f.sim.run();
+  EXPECT_TRUE(agreed);
+  EXPECT_TRUE(f.log.check_valid_counts());
+  EXPECT_GT(f.log.gc_stats().segments_erased, 20u);
+  EXPECT_GT(f.log.gc_stats().pages_copied, 0u);
+}
+
 TEST(SegmentLogTest, PrefillPopulatesMappingWithoutSimTime) {
   Fixture f;
   sim::Rng rng(1);
@@ -240,15 +279,9 @@ class ReferenceHistory {
   std::uint64_t prefix() const { return prefix_; }
   std::uint64_t commit_point() const { return commit_point_; }
 
-  std::unordered_map<Lba, Version> in_order() const {
-    return apply(prefix_, false);
-  }
-  std::unordered_map<Lba, Version> programmed_set() const {
-    return apply(recs_.size(), true);
-  }
-  std::unordered_map<Lba, Version> committed() const {
-    return apply(commit_point_, false);
-  }
+  BlockImage in_order() const { return apply(prefix_, false); }
+  BlockImage programmed_set() const { return apply(recs_.size(), true); }
+  BlockImage committed() const { return apply(commit_point_, false); }
 
  private:
   struct Rec {
@@ -257,13 +290,12 @@ class ReferenceHistory {
     bool programmed;
     bool gc_redundant;
   };
-  std::unordered_map<Lba, Version> apply(std::uint64_t end,
-                                         bool programmed_only) const {
-    std::unordered_map<Lba, Version> state;
+  BlockImage apply(std::uint64_t end, bool programmed_only) const {
+    std::map<Lba, Version> state;
     for (std::uint64_t i = 0; i < end; ++i)
       if (!programmed_only || recs_[i].programmed)
         state[recs_[i].lba] = recs_[i].version;
-    return state;
+    return BlockImage({state.begin(), state.end()});
   }
 
   bool transactional_;
@@ -421,7 +453,7 @@ TEST(SegmentLogTest, LongRunKeepsABoundedHistory) {
   constexpr int kAppends = 30'000;
   constexpr Lba kLbas = 40;
   sim::Rng rng(3);
-  std::unordered_map<Lba, Version> last;
+  std::map<Lba, Version> last;
   std::size_t max_retained = 0;
   bool bound_held = true;
   auto body = [&]() -> Task {
@@ -455,7 +487,7 @@ TEST(SegmentLogTest, LongRunKeepsABoundedHistory) {
   EXPECT_EQ(f.log.programmed_prefix(), f.log.append_count());
   EXPECT_LT(max_retained, AppendHistory::kFoldStep + 64);
   EXPECT_EQ(f.log.durable_in_order_recovery(),
-            (std::unordered_map<Lba, Version>(last.begin(), last.end())));
+            BlockImage({last.begin(), last.end()}));
   for (const auto& [lba, v] : last) EXPECT_EQ(f.log.mapped_version(lba), v);
 }
 
